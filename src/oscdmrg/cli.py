@@ -172,20 +172,9 @@ def _build_parser() -> _Parser:
     for name in COMMANDS:
         p = sub.add_parser(name, add_help=True)
         p.add_argument("--config", type=str, default=None)
-        p.add_argument("--N", dest="N", type=int, default=None)
-        p.add_argument("--hbar", type=float, default=None)
-        p.add_argument("--m", type=int, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--n1", type=int, default=None)
-        p.add_argument("--ntar", type=int, default=None)
-        p.add_argument("--sweeps", type=int, default=None)
-        p.add_argument("--basis-mode", choices=("bare", "optimized"), default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--n-list", type=str, default=None)
-        p.add_argument("--N-list", dest="N_list", type=str, default=None)
-        p.add_argument("--levels", type=int, default=None)
-        p.add_argument("--delimiter", type=str, default=None)
+        for key, (conv, _default) in _OPTION_SPEC.items():
+            choices = ("bare", "optimized") if key == "basis-mode" else None
+            p.add_argument(f"--{key}", dest=key, type=conv, choices=choices, default=None)
     return parser
 
 
@@ -202,17 +191,9 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
                 values[key] = conv(text)
             except ValueError as err:
                 raise _ConfigError(f"config key '{key}': {err}") from err
-    flag_names = {
-        "N": "N", "hbar": "hbar", "m": "m", "n": "n", "n1": "n1",
-        "ntar": "ntar", "sweeps": "sweeps", "basis-mode": "basis_mode",
-        "out": "out", "seed": "seed", "n-list": "n_list", "N-list": "N_list",
-        "levels": "levels", "delimiter": "delimiter",
-    }
-    for key, attr in flag_names.items():
-        given = getattr(args, attr, None)
-        if given is not None:
-            conv = _OPTION_SPEC[key][0]
-            values[key] = conv(given) if isinstance(given, str) and conv is not str else given
+    for key in _OPTION_SPEC:
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
     return RunConfig(
         command=command,
         n_sites=values["N"],

@@ -18,7 +18,7 @@ identical to left blocks during warmup.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,20 +109,18 @@ class DmrgConfig:
 
 @dataclass
 class Block:
-    """Renormalized block: effective Hamiltonian, the (a^dag + a) operator
-    of the edge site adjacent to the free site, and the truncation
-    history (one transform per truncation, oldest first)."""
+    """Renormalized block: effective Hamiltonian and the (a^dag + a)
+    operator of the edge site adjacent to the free site."""
 
     length: int
     basis_dim: int
     hamiltonian: np.ndarray
     edge_x: np.ndarray
-    transforms: list = field(default_factory=list)
 
     @staticmethod
     def empty() -> "Block":
         z = np.zeros((1, 1))
-        return Block(0, 1, z, z.copy(), [])
+        return Block(0, 1, z, z.copy())
 
 
 @dataclass(frozen=True)
@@ -213,8 +211,27 @@ def enlarge_block(block: Block, site: SiteBasis, hbar_tilde: float) -> Block:
         basis_dim=block.basis_dim * ops.dim,
         hamiltonian=h,
         edge_x=edge,
-        transforms=list(block.transforms),
     )
+
+
+def _dominant_states(
+    rdm: np.ndarray, n: int, position: int, kind: str
+) -> tuple[np.ndarray, TruncationRecord]:
+    """The n dominant eigenvectors of a density matrix (as columns) and the
+    record of its full spectrum, descending."""
+    eig = dense_sym_eig(rdm)
+    lam = eig.values[::-1].copy()
+    v = eig.vectors[:, ::-1][:, :n].copy()
+    tie = bool(n < lam.size and lam[n - 1] - lam[n] <= _DEGENERACY_TOL)
+    record = TruncationRecord(
+        position=position,
+        lambdas=lam,
+        kept=n,
+        discarded_weight=float(1.0 - lam[:n].sum()),
+        kind=kind,
+        boundary_degenerate=tie,
+    )
+    return v, record
 
 
 def truncate_block(
@@ -228,19 +245,7 @@ def truncate_block(
         raise ValueError(f"rdm shape {rdm.shape} != block dim {dim}")
     if n > dim:
         raise ValueError(f"cannot keep {n} states of a {dim}-dimensional block")
-    eig = dense_sym_eig(rdm)
-    lam = eig.values[::-1].copy()
-    vecs = eig.vectors[:, ::-1]
-    v = vecs[:, :n].copy()
-    tie = bool(n < dim and lam[n - 1] - lam[n] <= _DEGENERACY_TOL)
-    record = TruncationRecord(
-        position=position,
-        lambdas=lam,
-        kept=n,
-        discarded_weight=float(1.0 - lam[:n].sum()),
-        kind="block",
-        boundary_degenerate=tie,
-    )
+    v, record = _dominant_states(rdm, n, position, "block")
     h = v.T @ block.hamiltonian @ v
     x = v.T @ block.edge_x @ v
     new = Block(
@@ -248,7 +253,6 @@ def truncate_block(
         basis_dim=n,
         hamiltonian=0.5 * (h + h.T),
         edge_x=0.5 * (x + x.T),
-        transforms=list(block.transforms) + [v],
     )
     return new, record
 
@@ -332,29 +336,16 @@ def _target_weights_for(config: DmrgConfig, k: int) -> np.ndarray:
     return w / w.sum()
 
 
-def _site_rdm_averaged(psi: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    k = psi.shape[3]
-    rho = np.zeros((psi.shape[1], psi.shape[1]))
-    for j in range(k):
-        rho += weights[j] * np.einsum("asb,atb->st", psi[..., j], psi[..., j])
-    return 0.5 * (rho + rho.T)
-
-
-def _left_rdm_averaged(psi: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    dl, ds, dr, k = psi.shape
-    rho = np.zeros((dl * ds, dl * ds))
-    for j in range(k):
-        m = psi[..., j].reshape(dl * ds, dr)
-        rho += weights[j] * (m @ m.T)
-    return 0.5 * (rho + rho.T)
-
-
-def _right_rdm_averaged(psi: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    dl, ds, dr, k = psi.shape
-    rho = np.zeros((dr * ds, dr * ds))
-    for j in range(k):
-        m = psi[..., j].transpose(2, 1, 0).reshape(dr * ds, dl)
-        rho += weights[j] * (m @ m.T)
+def _averaged_rdm(psi: np.ndarray, weights: np.ndarray, axes: tuple) -> np.ndarray:
+    """Target-averaged reduced density matrix of the superblock legs
+    ``axes`` of psi (shape (dim_L, dim_site, dim_R, k)), joined in that
+    index order; the other legs are traced out."""
+    rest = tuple(a for a in range(3) if a not in axes)
+    dim = math.prod(psi.shape[a] for a in axes)
+    rho = np.zeros((dim, dim))
+    for j, w in enumerate(weights):
+        m = psi[..., j].transpose(axes + rest).reshape(dim, -1)
+        rho += w * (m @ m.T)
     return 0.5 * (rho + rho.T)
 
 
@@ -393,26 +384,30 @@ def _refine_site_basis(
     the superblock is solved for the targeted states, and the n dominant
     eigenvectors of the averaged site density matrix become the new basis.
     Stops when the ground energy changes by less than ``basis_tol`` over a
-    full cycle, or when a cycle leaves the kept subspace unchanged.
+    full cycle, or when a cycle leaves the kept subspace unchanged. In bare
+    mode (``optimized`` off or ``feed_size`` 0) the loop runs one empty
+    group: a single solve in the given basis, which is kept as it is.
 
     Returns (basis, last record, last EigResult, last psi tensor, last
     site-truncation matrix mapping the augmented basis onto the kept one).
     """
     m = basis.bare_dim
     n = basis.kept_dim
-    n1 = config.feed_size
+    n1 = config.feed_size if config.optimized else 0
     hbar = spec.hbar_tilde
     a, ad = ladder_ops(m)
     bare_h = onsite_term(m, hbar)
     bare_x = a + ad
     g = bond_coefficient(hbar)
 
-    groups = [list(range(s, min(s + n1, m))) for s in range(0, m, n1)] if n1 else []
+    groups = [list(range(s, min(s + n1, m))) for s in range(0, m, n1)] if n1 else [[]]
     b_cur = basis.transform.copy()
     if max_cycles is None:
         max_cycles = _MAX_REFINE_CYCLES
+    elif max_cycles < 1:
+        raise ValueError("max_cycles must be >= 1")
 
-    last = None
+    eig = None
     prev_energy = None
     prev_psi_bare = None
     for _cycle in range(max_cycles):
@@ -420,10 +415,10 @@ def _refine_site_basis(
         cycle_start = b_cur
         for group in groups:
             extra = _feed_columns(b_cur, group, m)
-            if extra.shape[1] == 0 and last is not None:
+            if extra.shape[1] == 0 and eig is not None:
                 continue
             fed_any = fed_any or extra.shape[1] > 0
-            b_aug = np.hstack([b_cur, extra]) if extra.shape[1] else b_cur
+            b_aug = np.hstack([b_cur, extra])
             aug = SiteBasis(m, b_aug.shape[1], b_aug)
             ops = SiteOperators(project(bare_h, aug), project(bare_x, aug), g)
             v0 = None
@@ -440,26 +435,13 @@ def _refine_site_basis(
                     residual_norms=err.residual_norms,
                 ) from err
             weights = _target_weights_for(config, psi.shape[3])
-            rho = _site_rdm_averaged(psi, weights)
-            dres = dense_sym_eig(rho)
-            lam = dres.values[::-1].copy()
-            vecs = dres.vectors[:, ::-1]
-            v_keep = vecs[:, :n].copy()
-            tie = bool(n < lam.size and lam[n - 1] - lam[n] <= _DEGENERACY_TOL)
-            record = TruncationRecord(
-                position=position,
-                lambdas=lam,
-                kept=n,
-                discarded_weight=float(1.0 - lam[:n].sum()),
-                kind="site",
-                boundary_degenerate=tie,
+            v_dom, record = _dominant_states(
+                _averaged_rdm(psi, weights, (1,)), n, position, "site"
             )
+            v_keep = v_dom if n1 else np.eye(n)
             b_cur = b_aug @ v_keep
             prev_psi_bare = np.tensordot(psi, b_aug, axes=(1, 1)).transpose(0, 3, 1, 2)
-            last = (record, eig, psi, v_keep, b_aug)
-        if last is None:
-            break
-        energy = last[1].values[0]
+        energy = eig.values[0]
         if not fed_any:
             break
         if prev_energy is not None and abs(energy - prev_energy) < config.basis_tol:
@@ -468,26 +450,6 @@ def _refine_site_basis(
         if drift < _BASIS_DRIFT_TOL:
             break
         prev_energy = energy
-    if last is None:
-        # No feed groups at all (feed_size 0): single solve, no refinement.
-        aug = SiteBasis(m, n, b_cur)
-        ops = SiteOperators(project(bare_h, aug), project(bare_x, aug), g)
-        eig, psi = superblock_solve(left, ops, right, config)
-        weights = _target_weights_for(config, psi.shape[3])
-        rho = _site_rdm_averaged(psi, weights)
-        dres = dense_sym_eig(rho)
-        lam = dres.values[::-1].copy()
-        record = TruncationRecord(
-            position=position,
-            lambdas=lam,
-            kept=n,
-            discarded_weight=float(1.0 - lam[:n].sum()),
-            kind="site",
-            boundary_degenerate=False,
-        )
-        last = (record, eig, psi, np.eye(n), b_cur)
-
-    record, eig, psi, v_keep, b_aug = last
     return SiteBasis(m, n, b_cur), record, eig, psi, v_keep
 
 
@@ -547,59 +509,37 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
 
         Returns (eig, psi in the final n-dim site basis, ground-state site
         entropy, averaged site spectrum descending)."""
-        blk_l = left[p]
-        blk_r = right[n_sites - p - 1]
+        new_basis, rec, eig, psi, v_keep = _refine_site_basis(
+            spec, config, left[p], right[n_sites - p - 1], bases[p], position=p + 1
+        )
+        bases[p] = new_basis
         if optimizing:
-            new_basis, rec, eig, psi, v_keep = _refine_site_basis(
-                spec, config, blk_l, blk_r, bases[p], position=p + 1
-            )
-            bases[p] = new_basis
             records.append(rec)
-            site_lams = rec.lambdas
-            psi_fin = np.tensordot(psi, v_keep, axes=(1, 0)).transpose(0, 3, 1, 2)
-            for j in range(psi_fin.shape[3]):
-                nrm = np.linalg.norm(psi_fin[..., j])
-                if nrm > 0:
-                    psi_fin[..., j] /= nrm
+        psi_fin = np.tensordot(psi, v_keep, axes=(1, 0)).transpose(0, 3, 1, 2)
+        for j in range(psi_fin.shape[3]):
+            nrm = np.linalg.norm(psi_fin[..., j])
+            if nrm > 0:
+                psi_fin[..., j] /= nrm
+        s_site = von_neumann(_averaged_rdm(psi[..., :1], np.ones(1), (1,)))
+        return eig, psi_fin, s_site, rec.lambdas
+
+    def move(p: int, psi_fin: np.ndarray, rightward: bool) -> None:
+        """Absorb site p into the block on its left (rightward) or right,
+        truncating to n states from the averaged density matrix."""
+        if rightward:
+            blocks, j, axes = left, p, (0, 1)
         else:
-            ops = site_operators(bases[p], hbar)
-            try:
-                eig, psi = superblock_solve(blk_l, ops, blk_r, config)
-            except ConvergenceError as err:
-                raise ConvergenceError(
-                    f"superblock solve failed at site {p + 1}: {err}",
-                    residual_norms=err.residual_norms,
-                ) from err
-            psi_fin = psi
-            weights = _target_weights_for(config, psi.shape[3])
-            site_lams = np.sort(
-                np.linalg.eigvalsh(_site_rdm_averaged(psi, weights))
-            )[::-1].copy()
-        rho_ground = np.einsum("asb,atb->st", psi[..., 0], psi[..., 0])
-        s_site = von_neumann(rho_ground)
-        return eig, psi_fin, s_site, site_lams
-
-    def move_right(p: int, psi_fin: np.ndarray) -> None:
-        enlarged = enlarge_block(left[p], bases[p], hbar)
+            blocks, j, axes = right, n_sites - p - 1, (2, 1)
+        enlarged = enlarge_block(blocks[j], bases[p], hbar)
         if enlarged.basis_dim > n:
             weights = _target_weights_for(config, psi_fin.shape[3])
-            rho = _left_rdm_averaged(psi_fin, weights)
+            rho = _averaged_rdm(psi_fin, weights, axes)
             enlarged, rec = truncate_block(enlarged, rho, n, position=p + 1)
             records.append(rec)
-        left[p + 1] = enlarged
-
-    def move_left(p: int, psi_fin: np.ndarray) -> None:
-        enlarged = enlarge_block(right[n_sites - p - 1], bases[p], hbar)
-        if enlarged.basis_dim > n:
-            weights = _target_weights_for(config, psi_fin.shape[3])
-            rho = _right_rdm_averaged(psi_fin, weights)
-            enlarged, rec = truncate_block(enlarged, rho, n, position=p + 1)
-            records.append(rec)
-        right[n_sites - p] = enlarged
+        blocks[j + 1] = enlarged
 
     # Warmup: grow against the mirror environment (bases are still uniform).
-    left[1] = enlarge_block(left[0], bases[0], hbar)
-    right[1] = enlarge_block(right[0], bases[n_sites - 1], hbar)
+    left[1] = right[1] = enlarge_block(left[0], bases[0], hbar)
     length = 1
     while n_sites - length - 1 > length:
         ops = site_operators(bases[length], hbar)
@@ -610,14 +550,8 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
                 f"warmup solve failed at site {length + 1}: {err}",
                 residual_norms=err.residual_norms,
             ) from err
-        enlarged = enlarge_block(left[length], bases[length], hbar)
-        if enlarged.basis_dim > n:
-            weights = _target_weights_for(config, psi.shape[3])
-            rho = _left_rdm_averaged(psi, weights)
-            enlarged, rec = truncate_block(enlarged, rho, n, position=length + 1)
-            records.append(rec)
-        left[length + 1] = enlarged
-        right[length + 1] = enlarged
+        move(length, psi, rightward=True)
+        right[length + 1] = left[length + 1]
         length += 1
 
     # Finite-system sweeps.
@@ -631,12 +565,12 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
             eig, psi_fin, _s, _lams = solve_at(p)
             best = min(best, eig.values[0])
             if p < n_sites - 1:
-                move_right(p, psi_fin)
+                move(p, psi_fin, rightward=True)
         for p in range(n_sites - 2, -1, -1):
             eig, psi_fin, _s, _lams = solve_at(p)
             best = min(best, eig.values[0])
             if p > 0:
-                move_left(p, psi_fin)
+                move(p, psi_fin, rightward=False)
         sweep_trace.append(best)
         if prev_best is not None and abs(prev_best - best) < config.energy_tol:
             converged = True
@@ -657,10 +591,10 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
             energies = eig.values.copy()
             central_lams = np.asarray(site_lams, dtype=float)
             weights = _target_weights_for(config, psi_fin.shape[3])
-            rho_block = _left_rdm_averaged(psi_fin, weights)
+            rho_block = _averaged_rdm(psi_fin, weights, (0, 1))
             central_block_lams = np.sort(np.linalg.eigvalsh(rho_block))[::-1].copy()
         if p < n_sites - 1:
-            move_right(p, psi_fin)
+            move(p, psi_fin, rightward=True)
 
     gap = float(energies[1] - energies[0]) if energies.size >= 2 else None
     return DmrgResult(

@@ -1,10 +1,14 @@
 import csv
 import io
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import oscdmrg
 from oscdmrg.cli import main
 
 
@@ -52,6 +56,13 @@ def test_unknown_flag_exits_one(capsys):
     code, _, err = run_cli(["analytic", "--bogus", "3"], capsys)
     assert code == 1
     assert err
+
+
+def test_bad_list_flag_exits_one(capsys):
+    code, out, err = run_cli(["scan-basis", "--n-list", "4,x"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "4,x" in err
 
 
 def test_config_file_roundtrip(tmp_path, capsys):
@@ -215,3 +226,22 @@ def test_nine_significant_digits(capsys):
     _, rows = parse_csv(out)
     values = {r["quantity"]: r["value"] for r in rows}
     assert values["E_ground"] == f"{(1 + math.sqrt(3)) / 2:.9g}"
+
+
+def test_output_independent_of_blas_threads():
+    # the byte-identical promise must survive the BLAS thread count, which
+    # changes floating-point summation order below the printed 9 digits
+    src = str(Path(oscdmrg.__file__).resolve().parents[1])
+    args = ["dmrg", "--N", "5", "--m", "8", "--n", "4", "--n1", "2", "--ntar", "2"]
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        runs.append(subprocess.run(
+            [sys.executable, "-m", "oscdmrg.cli", *args],
+            env=env, capture_output=True, timeout=300,
+        ))
+    assert runs[0].returncode in (0, 2)
+    assert runs[0].stdout.startswith(b"# config:")
+    assert [r.returncode for r in runs[1:]] == [runs[0].returncode]
+    assert runs[1].stdout == runs[0].stdout

@@ -97,7 +97,6 @@ def test_truncate_block_pure_state_rank_one():
     assert record.discarded_weight == pytest.approx(
         1.0 - record.lambdas[:1].sum(), abs=1e-12
     )
-    assert len(truncated.transforms) == len(blk.transforms) + 1
     with pytest.raises(ValueError):
         truncate_block(blk, rho, 10)
 
@@ -203,6 +202,23 @@ def test_run_dmrg_optimized_beats_bare():
     assert_variational_sandwich(spec, opt)
 
 
+def test_bare_mode_is_refinement_off():
+    # bare runs: optimized off, or no feed; the feed size is then ignored
+    spec = ChainSpec(8, 1.0, 12)
+    configs = [
+        DmrgConfig(kept_states=5, n_targets=1, optimized=False),
+        DmrgConfig(kept_states=5, feed_size=0, n_targets=1, optimized=True),
+        DmrgConfig(kept_states=5, feed_size=7, n_targets=1, optimized=False),
+    ]
+    ref, *others = [run_dmrg(spec, cfg) for cfg in configs]
+    for res in others:
+        assert np.array_equal(res.energies, ref.energies)
+        assert np.array_equal(res.site_entropies, ref.site_entropies)
+    for res in (ref, *others):
+        assert res.truncation_records
+        assert all(rec.kind == "block" for rec in res.truncation_records)
+
+
 def test_run_dmrg_sweep_trace_monotone():
     spec = ChainSpec(6, 1.0, 8)
     result = run_dmrg(spec, DmrgConfig(kept_states=4, n_targets=1, optimized=False))
@@ -288,7 +304,7 @@ def test_refinement_converges_to_unique_fixed_point():
     # same kept subspace. (Monitored runs show the weight converges toward
     # its fixed point from either side, so only stabilization is asserted.)
     from oscdmrg import SiteBasis
-    from oscdmrg.dmrg import _left_rdm_averaged
+    from oscdmrg.dmrg import _averaged_rdm
 
     spec = ChainSpec(5, 1.0, 10)
     cfg = DmrgConfig(kept_states=4, feed_size=2, n_targets=1)
@@ -296,7 +312,7 @@ def test_refinement_converges_to_unique_fixed_point():
     left1 = enlarge_block(Block.empty(), full, 1.0)
     ops = site_operators(full, 1.0)
     _eig, psi = superblock_solve(left1, ops, left1, cfg)
-    rho = _left_rdm_averaged(psi, np.array([1.0]))
+    rho = _averaged_rdm(psi, np.array([1.0]), (0, 1))
     left2, _ = truncate_block(enlarge_block(left1, full, 1.0), rho, 4)
 
     rng = np.random.default_rng(0)
@@ -315,6 +331,25 @@ def test_refinement_converges_to_unique_fixed_point():
     b1 = finals["bare"][0].transform
     b2 = finals["random"][0].transform
     assert np.max(np.abs(b1 @ b1.T - b2 @ b2.T)) <= 1e-8
+
+
+def test_averaged_rdm_matches_einsum_partial_trace():
+    from oscdmrg.dmrg import _averaged_rdm
+
+    rng = np.random.default_rng(11)
+    psi = rng.standard_normal((3, 4, 5, 2))
+    psi /= np.linalg.norm(psi.reshape(-1, 2), axis=0)
+    w = np.array([0.7, 0.3])
+    expected = {
+        (1,): np.einsum("j,asbj,atbj->st", w, psi, psi),
+        (0, 1): np.einsum("j,asbj,ctbj->asct", w, psi, psi).reshape(12, 12),
+        (2, 1): np.einsum("j,asbj,atcj->bsct", w, psi, psi).reshape(20, 20),
+    }
+    for axes, rho_ref in expected.items():
+        rho = _averaged_rdm(psi, w, axes)
+        np.testing.assert_allclose(rho, rho_ref, atol=1e-14)
+        np.testing.assert_array_equal(rho, rho.T)
+        assert np.trace(rho) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_multi_target_flattens_block_spectrum():
