@@ -268,7 +268,8 @@ def _cmd_ed(cfg: RunConfig) -> int:
 
 def _cmd_dmrg(cfg: RunConfig) -> int:
     spec = cfg.chain_spec()
-    result = run_dmrg(spec, cfg.dmrg_config())
+    config = cfg.dmrg_config()
+    result = run_dmrg(spec, config)
     rows = [
         {"quantity": f"energy_{i}", "value": float(e)}
         for i, e in enumerate(result.energies)
@@ -279,7 +280,14 @@ def _cmd_dmrg(cfg: RunConfig) -> int:
     rows.append({"quantity": "converged", "value": result.converged})
     rows.append({"quantity": "sweeps_run", "value": len(result.sweep_energy_trace)})
     _write_csv(cfg, ["quantity", "value"], rows)
-    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+    if result.converged:
+        return EXIT_OK
+    trace = result.sweep_energy_trace
+    missed = (f"last sweep-to-sweep |dE| {abs(trace[-1] - trace[-2]):.3g}"
+              if trace.size >= 2 else "no sweep-to-sweep |dE| after one sweep")
+    print(f"oscdmrg: not converged after {trace.size} sweeps: {missed}, "
+          f"energy_tol {config.energy_tol:.3g}", file=sys.stderr)
+    return EXIT_NO_CONVERGENCE
 
 
 def _cmd_scan_basis(cfg: RunConfig) -> int:

@@ -13,6 +13,12 @@ Block growth absorbs the free site with the block index major, i.e.
 enlarged indices are (block, site); right blocks are stored mirrored (edge
 site last), which the reflection symmetry of the uniform chain makes
 identical to left blocks during warmup.
+
+Sweep solves are warm-started by White's wavefunction transformation (PRL
+77, 3633 (1996)): the state solved at one site is rotated through the two
+block bases between it and the next site, and the result seeds that site's
+first superblock solve. Only warmup and the first full-chain solve that
+ends it start from random vectors.
 """
 
 from __future__ import annotations
@@ -110,12 +116,17 @@ class DmrgConfig:
 @dataclass
 class Block:
     """Renormalized block: effective Hamiltonian and the (a^dag + a)
-    operator of the edge site adjacent to the free site."""
+    operator of the edge site adjacent to the free site.
+
+    ``rotation`` is the isometry of the latest truncation, mapping the
+    enlarged (block, site) basis onto the kept states; None when the block
+    was not truncated."""
 
     length: int
     basis_dim: int
     hamiltonian: np.ndarray
     edge_x: np.ndarray
+    rotation: np.ndarray | None = None
 
     @staticmethod
     def empty() -> "Block":
@@ -253,6 +264,7 @@ def truncate_block(
         basis_dim=n,
         hamiltonian=0.5 * (h + h.T),
         edge_x=0.5 * (x + x.T),
+        rotation=v,
     )
     return new, record
 
@@ -376,6 +388,7 @@ def _refine_site_basis(
     basis: SiteBasis,
     position: int,
     max_cycles: int | None = None,
+    guess: np.ndarray | None = None,
 ):
     """Optimized-basis refinement at one site (the feed loop).
 
@@ -387,6 +400,9 @@ def _refine_site_basis(
     full cycle, or when a cycle leaves the kept subspace unchanged. In bare
     mode (``optimized`` off or ``feed_size`` 0) the loop runs one empty
     group: a single solve in the given basis, which is kept as it is.
+    ``guess`` (dim_L, kept_dim, dim_R, k), a wavefunction in the given
+    basis, warm-starts the first solve; later solves start from the
+    previous one.
 
     Returns (basis, last record, last EigResult, last psi tensor, last
     site-truncation matrix mapping the augmented basis onto the kept one).
@@ -410,6 +426,8 @@ def _refine_site_basis(
     eig = None
     prev_energy = None
     prev_psi_bare = None
+    if guess is not None:
+        prev_psi_bare = np.tensordot(guess, b_cur, axes=(1, 1)).transpose(0, 3, 1, 2)
     for _cycle in range(max_cycles):
         fed_any = False
         cycle_start = b_cur
@@ -504,13 +522,15 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
     left: dict[int, Block] = {0: Block.empty()}
     right: dict[int, Block] = {0: Block.empty()}
 
-    def solve_at(p: int):
-        """Solve (and refine, in optimized mode) at free site p (0-based).
+    def solve_at(p: int, guess: np.ndarray | None):
+        """Solve (and refine, in optimized mode) at free site p (0-based),
+        warm-started from ``guess`` when given.
 
         Returns (eig, psi in the final n-dim site basis, ground-state site
         entropy, averaged site spectrum descending)."""
         new_basis, rec, eig, psi, v_keep = _refine_site_basis(
-            spec, config, left[p], right[n_sites - p - 1], bases[p], position=p + 1
+            spec, config, left[p], right[n_sites - p - 1], bases[p],
+            position=p + 1, guess=guess,
         )
         bases[p] = new_basis
         if optimizing:
@@ -538,6 +558,27 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
             records.append(rec)
         blocks[j + 1] = enlarged
 
+    def step(p: int, psi_fin: np.ndarray, rightward: bool) -> np.ndarray:
+        """move(p, psi_fin, rightward), then psi_fin rotated into the
+        superblock at site p+1 (rightward) or p-1: White's wavefunction
+        transformation. The block that absorbed site p maps its (block,
+        site) legs through its new rotation; the block across the next
+        site is expanded through its stored rotation into (rest, site).
+        Right blocks are stored mirrored, so the leftward step is the
+        rightward one on the mirrored tensor."""
+        move(p, psi_fin, rightward)
+        if rightward:
+            psi, grown, split = psi_fin, left[p + 1], right[n_sites - p - 1]
+        else:
+            psi, grown, split = psi_fin.transpose(2, 1, 0, 3), right[n_sites - p], left[p]
+        dl, ds, dr, k = psi.shape
+        t = psi.reshape(dl * ds, dr * k)
+        if grown.rotation is not None:
+            t = grown.rotation.T @ t
+        w = np.eye(dr) if split.rotation is None else split.rotation
+        guess = np.tensordot(t.reshape(-1, dr, k), w.reshape(-1, n, dr), axes=(1, 2))
+        return guess.transpose(0, 3, 2, 1) if rightward else guess.transpose(2, 3, 0, 1)
+
     # Warmup: grow against the mirror environment (bases are still uniform).
     left[1] = right[1] = enlarge_block(left[0], bases[0], hbar)
     length = 1
@@ -559,18 +600,25 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
     prev_best = None
     converged = False
     start = length
+    guess = None
     for _sweep in range(config.n_sweeps):
         best = math.inf
         for p in range(start, n_sites):
-            eig, psi_fin, _s, _lams = solve_at(p)
+            eig, psi_fin, _s, _lams = solve_at(p, guess)
             best = min(best, eig.values[0])
             if p < n_sites - 1:
-                move(p, psi_fin, rightward=True)
+                guess = step(p, psi_fin, rightward=True)
+        # Turnaround: site N's refined basis enters right[1] before the
+        # leftward half-sweep solves against it.
+        guess = step(n_sites - 1, psi_fin, rightward=False)
         for p in range(n_sites - 2, -1, -1):
-            eig, psi_fin, _s, _lams = solve_at(p)
+            eig, psi_fin, _s, _lams = solve_at(p, guess)
             best = min(best, eig.values[0])
             if p > 0:
-                move(p, psi_fin, rightward=False)
+                guess = step(p, psi_fin, rightward=False)
+        # The next visit (next sweep or measurement) is site 1 again, in
+        # the same superblock.
+        guess = psi_fin
         sweep_trace.append(best)
         if prev_best is not None and abs(prev_best - best) < config.energy_tol:
             converged = True
@@ -585,7 +633,7 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
     central_lams = None
     central_block_lams = None
     for p in range(n_sites):
-        eig, psi_fin, s_site, site_lams = solve_at(p)
+        eig, psi_fin, s_site, site_lams = solve_at(p, guess)
         site_entropies[p] = s_site
         if p == central:
             energies = eig.values.copy()
@@ -594,7 +642,7 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
             rho_block = _averaged_rdm(psi_fin, weights, (0, 1))
             central_block_lams = np.sort(np.linalg.eigvalsh(rho_block))[::-1].copy()
         if p < n_sites - 1:
-            move(p, psi_fin, rightward=True)
+            guess = step(p, psi_fin, rightward=True)
 
     gap = float(energies[1] - energies[0]) if energies.size >= 2 else None
     return DmrgResult(

@@ -143,6 +143,24 @@ def test_dmrg_command_writes_file(tmp_path, capsys):
     assert float(values["energy_0"]) == pytest.approx(2.6569, abs=1e-2)
 
 
+def test_dmrg_non_convergence_names_the_tolerance(capsys):
+    # two targets on a 5-site chain still move ~1e-7 per sweep after 6
+    args = ["dmrg", "--N", "5", "--m", "8", "--n", "4", "--n1", "2", "--ntar", "2"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    _, rows = parse_csv(out)
+    values = {r["quantity"]: r["value"] for r in rows}
+    assert values["converged"] == "false"
+    trace = oscdmrg.run_dmrg(
+        oscdmrg.ChainSpec(5, 1.0, 8),
+        oscdmrg.DmrgConfig(kept_states=4, feed_size=2, n_targets=2),
+    ).sweep_energy_trace
+    delta = abs(trace[-1] - trace[-2])
+    assert delta > 1e-8
+    assert f"|dE| {delta:.3g}" in err
+    assert "energy_tol 1e-08" in err
+
+
 def test_scan_basis_schema_and_determinism(tmp_path, capsys):
     args = [
         "scan-basis", "--N", "4", "--m", "6", "--n-list", "3,4", "--ntar", "1",

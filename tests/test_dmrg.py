@@ -219,6 +219,57 @@ def test_bare_mode_is_refinement_off():
         assert all(rec.kind == "block" for rec in res.truncation_records)
 
 
+def test_reflection_symmetry_with_truncation():
+    # the uniform chain is mirror symmetric; with truncated blocks the site
+    # entropies keep that symmetry only if the refined bases at both chain
+    # ends enter the blocks the sweeps solve against
+    spec = ChainSpec(12, 1.0, 10)
+    result = run_dmrg(spec, DmrgConfig(kept_states=6, feed_size=3, n_sweeps=10))
+    s = result.site_entropies
+    assert np.max(np.abs(s - s[::-1])) <= 1e-6
+
+
+def test_wavefunction_prediction_is_a_pure_warm_start(monkeypatch):
+    # the rotated previous state only seeds the eigensolver: dropping it
+    # gives the same answers from more matvecs. Superblocks of 8^3 = 512
+    # states are above the solver's dense cutoff, so start vectors matter.
+    import oscdmrg.dmrg as dmrg_mod
+
+    spec = ChainSpec(10, 1.0, 10)
+    cfg = DmrgConfig(kept_states=8, optimized=False)
+    lowest_k = dmrg_mod.lowest_k
+
+    def recording(calls, keep_v0):
+        def recorded(*args, v0=None, **kwargs):
+            res = lowest_k(*args, v0=v0 if keep_v0 else None, **kwargs)
+            calls.append((v0, res))
+            return res
+        return recorded
+
+    runs = {}
+    for label in ("warm", "cold"):
+        calls = []
+        monkeypatch.setattr(dmrg_mod, "lowest_k", recording(calls, label == "warm"))
+        runs[label] = (run_dmrg(spec, cfg), calls)
+    (warm, warm_calls), (cold, cold_calls) = runs["warm"], runs["cold"]
+
+    np.testing.assert_allclose(warm.energies, cold.energies, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(warm.site_entropies, cold.site_entropies, atol=1e-8)
+    # four warmup solves on the growing chain, then the first full-chain
+    # solve, which has no earlier state on that chain; all later solves
+    # start from the previous site's state
+    has_v0 = [v0 is not None for v0, _res in warm_calls]
+    assert has_v0 == [False] * 5 + [True] * (len(has_v0) - 5)
+    # the measurement pass walks a converged state: each start vector is
+    # already the solution
+    for v0, res in warm_calls[-spec.n_sites:]:
+        overlap = abs(v0[:, 0] @ res.vectors[:, 0]) / np.linalg.norm(v0[:, 0])
+        assert overlap >= 1 - 1e-8
+    matvecs = {label: sum(res.iterations for _v0, res in calls)
+               for label, (_result, calls) in runs.items()}
+    assert matvecs["warm"] <= 0.7 * matvecs["cold"]
+
+
 def test_run_dmrg_sweep_trace_monotone():
     spec = ChainSpec(6, 1.0, 8)
     result = run_dmrg(spec, DmrgConfig(kept_states=4, n_targets=1, optimized=False))
