@@ -1,13 +1,16 @@
 """Symmetric eigensolvers.
 
 ``dense_sym_eig`` wraps the LAPACK full decomposition, used for density
-matrices and small Hamiltonians. ``lowest_k`` is a block Lanczos iteration
-with full reorthogonalization and thick restarts that works from a
-caller-supplied matrix-vector product only; it is the workhorse for
-superblock and exact diagonalizations where the operator is never
-materialized. Full (rather than selective) reorthogonalization is used
-throughout: dimensions stay modest and ghost eigenvalues would corrupt the
-density-matrix spectra downstream.
+matrices and small Hamiltonians. ``lowest_k`` needs only a matrix-vector
+product, for superblock and exact diagonalizations where the operator is
+never materialized. Above ``_DENSE_CUTOFF`` it is a thick-restart block
+Lanczos: a step applies the operator to the newest block, projects the
+result on the whole basis once (filling the projected matrix), subtracts
+that, reorthogonalizes once more and splits off the next block by an SVD.
+Full reorthogonalization keeps ghost eigenvalues out of the density-matrix
+spectra downstream. Every few steps the Ritz residuals are read off the
+projected matrix; once they pass, the operator is applied to the Ritz
+vectors, so the returned residuals are the true ``||H v - lambda v||``.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ __all__ = ["EigResult", "dense_sym_eig", "lowest_k"]
 # Below this dimension the Krylov basis is saturated in one batched
 # application instead of iterating toward it.
 _DENSE_CUTOFF = 384
-# Expansion steps between Rayleigh-Ritz convergence checks.
-_CHECK_EVERY = 3
+# Lanczos steps between Rayleigh-Ritz convergence checks (a restart also
+# checks, and so does the first step, for warm starts).
+_CHECK_EVERY = 5
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,6 @@ def lowest_k(
     tol: float = 1e-10,
     max_iter: int = 2000,
     seed: int = 0,
-    max_basis: int | None = None,
     v0: np.ndarray | None = None,
     apply_block: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> EigResult:
@@ -83,8 +86,8 @@ def lowest_k(
 
     Deterministic for a fixed seed: the starting block is drawn from a
     seeded generator and every reduction has a fixed order. ``v0`` may
-    supply starting vectors (shape ``(dim,)`` or ``(dim, j)``); missing
-    directions are topped up from the same generator. ``apply_block``
+    supply starting vectors (shape ``(dim,)`` or ``(dim, j)``); the first k
+    are used and missing ones come from the same generator. ``apply_block``
     optionally applies H to every column of a matrix at once (pure
     performance; must agree with ``apply``).
     """
@@ -120,139 +123,74 @@ def lowest_k(
             residual_norms=rnorm,
         )
 
-    expand = min(k, dim)
-    if max_basis is None:
-        max_basis = max(6 * k + 10, 96)
-    max_basis = min(dim, max(max_basis, 2 * k, expand + k))
-    keep = min(max(2 * k + 2, max_basis // 2), max_basis - 1)
-
-    q_basis = np.empty((dim, max_basis))
-    aq = np.empty((dim, max_basis))
-    t_buf = np.zeros((max_basis, max_basis))
-    p = 0
-    matvecs = 0
-
-    def orthonormalize(cands: np.ndarray) -> np.ndarray:
-        """Orthonormalize candidate columns against the current basis (two
-        batched Gram-Schmidt passes) and among themselves; columns whose
-        norm collapses below 1e-8 of their original size are dropped."""
-        if cands.size == 0:
-            return cands.reshape(dim, 0)
-        ref = np.linalg.norm(cands, axis=0)
-        good = ref > 0
-        w = cands[:, good] / ref[good]
-        for _ in range(2):
-            if p:
-                w = w - q_basis[:, :p] @ (q_basis[:, :p].T @ w)
-        cols: list[np.ndarray] = []
-        for j in range(w.shape[1]):
-            v = w[:, j].copy()
-            for u in cols:
-                v -= u * (u @ v)
-            for u in cols:
-                v -= u * (u @ v)
-            nrm = np.linalg.norm(v)
-            if nrm > 1e-8:
-                cols.append(v / nrm)
-        if not cols:
-            return np.empty((dim, 0))
-        return np.column_stack(cols)
-
-    def append(new_cols: np.ndarray) -> int:
-        nonlocal p, matvecs
-        nb = new_cols.shape[1]
-        if nb == 0:
-            return 0
-        q_basis[:, p:p + nb] = new_cols
-        aq[:, p:p + nb] = apply_block(new_cols)
-        new_t = q_basis[:, :p + nb].T @ aq[:, p:p + nb]
-        t_buf[: p + nb, p:p + nb] = new_t
-        t_buf[p:p + nb, :p] = new_t[:p].T
-        p += nb
-        matvecs += nb
-        return nb
-
-    want = min(max(k, expand), dim)
-    start = np.empty((dim, 0))
+    # Thick-restart block Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl.
+    # 22, 602 (2000)) with block size k. Every applied block is projected on
+    # the whole basis, so t_mat is exactly Q^T H Q, also across restarts.
+    width = min(dim, max(6 * k + 10, 24))
+    keep = min(width - k, max(2 * k, width // 2))
+    q_basis = np.empty((dim, width))
+    t_mat = np.zeros((width, width))
+    start = rng.standard_normal((dim, k))
     if v0 is not None:
-        v0 = np.asarray(v0, dtype=float)
-        if v0.ndim == 1:
-            v0 = v0[:, None]
-        start = orthonormalize(v0)
-    attempts = 0
-    while start.shape[1] < want and attempts < 20:
-        fresh = rng.standard_normal((dim, want - start.shape[1]))
-        merged = np.hstack([start, fresh]) if start.shape[1] else fresh
-        start = orthonormalize(merged)
-        attempts += 1
-    append(start)
-
-    def expand_once(candidates: np.ndarray, budget: int) -> int:
-        new_cols = orthonormalize(candidates)[:, :budget]
-        if new_cols.shape[1] == 0:
-            new_cols = orthonormalize(rng.standard_normal((dim, min(budget, dim - p))))
-        return append(new_cols)
-
-    last_block = p
+        v0 = np.asarray(v0, dtype=float).reshape(dim, -1)[:, :k]
+        start[:, : v0.shape[1]] = v0
+    block = np.linalg.qr(start)[0]
+    q_basis[:, :k] = block
+    lo, p = 0, k
+    matvecs = steps = 0
+    checked = 1 - _CHECK_EVERY
     while True:
-        t_mat = t_buf[:p, :p]
-        t_mat = 0.5 * (t_mat + t_mat.T)
-        vals, s_mat = np.linalg.eigh(t_mat)
-        lam = vals[:k]
-        y_mat = s_mat[:, :k]
-        x_vecs = q_basis[:, :p] @ y_mat
-        ax_vecs = aq[:, :p] @ y_mat
-        resid = ax_vecs - x_vecs * lam
-        rnorm = np.linalg.norm(resid, axis=0)
-        if np.all(rnorm <= tol * np.maximum(1.0, np.abs(lam))):
-            return EigResult(
-                values=lam.copy(),
-                vectors=x_vecs,
-                residual_norms=rnorm,
-                iterations=matvecs,
-            )
-        if matvecs >= max_iter:
-            raise ConvergenceError(
-                f"no convergence after {matvecs} matvecs "
-                f"(worst residual {rnorm.max():.3e})",
-                residual_norms=rnorm,
-            )
-        if p >= dim:
-            # The whole space is spanned; the Rayleigh-Ritz values are exact
-            # but a tolerance below machine level cannot be certified.
-            raise ConvergenceError(
-                f"residuals stalled at machine level {rnorm.max():.3e} with "
-                f"the full space spanned (tol {tol:.1e} unreachable)",
-                residual_norms=rnorm,
-            )
-        if p + expand > max_basis:
-            # Thick restart: keep the leading Ritz vectors, continue the
-            # recursion from the residual block.
-            nkeep = min(keep, p)
-            q_new = q_basis[:, :p] @ s_mat[:, :nkeep]
-            aq_new = aq[:, :p] @ s_mat[:, :nkeep]
-            q_basis[:, :nkeep] = q_new
-            aq[:, :nkeep] = aq_new
-            # In the Ritz basis the projected operator is diagonal.
-            t_buf[:nkeep, :nkeep] = np.diag(vals[:nkeep])
-            p = nkeep
-            added = expand_once(resid, min(max_basis - p, expand))
-            if added == 0:
+        # The newest block, contiguous: a column slice of q_basis is strided
+        # and slows the caller's matvec severalfold.
+        w = apply_block(block)
+        matvecs += k
+        steps += 1
+        basis = q_basis[:, :p]
+        coef = basis.T @ w
+        t_mat[:p, lo:p] = coef
+        t_mat[lo:p, :p] = coef.T
+        w = w - basis @ coef
+        w -= basis @ (basis.T @ w)
+        # An SVD rather than a QR, because it shows when w loses rank.
+        # w = block @ beta couples the next block to this one.
+        block, sig, vt = np.linalg.svd(w, full_matrices=False)
+        beta = sig[:, None] * vt
+        full = p + k > width
+        if full or matvecs >= max_iter or steps - checked >= _CHECK_EVERY:
+            checked = steps
+            vals, s_mat = np.linalg.eigh(t_mat[:p, :p])
+            lam = vals[:k]
+            bound = tol * np.maximum(1.0, np.abs(lam))
+            # ||H x - lam x|| of the Ritz pairs, read off the projection.
+            rnorm = np.linalg.norm(beta @ s_mat[lo:p, :k], axis=0)
+            if np.all(rnorm <= bound):
+                x_vecs = basis @ s_mat[:, :k]
+                rnorm = np.linalg.norm(apply_block(x_vecs) - x_vecs * lam, axis=0)
+                matvecs += k
+                if np.all(rnorm <= bound):
+                    return EigResult(values=lam.copy(), vectors=x_vecs,
+                                     residual_norms=rnorm, iterations=matvecs)
+            if matvecs >= max_iter:
                 raise ConvergenceError(
-                    "unable to expand the Krylov basis further",
+                    f"no convergence after {matvecs} matvecs "
+                    f"(worst residual {rnorm.max():.3e})",
                     residual_norms=rnorm,
                 )
-            last_block = added
-        # Grow the block Krylov space a few steps between checks.
-        steps = 0
-        while (
-            steps < _CHECK_EVERY
-            and p + expand <= max_basis
-            and p < dim
-            and matvecs < max_iter
-        ):
-            added = expand_once(aq[:, p - last_block:p], min(max_basis - p, expand))
-            if added == 0:
-                break
-            last_block = added
-            steps += 1
+            if full:
+                # Thick restart: the leading Ritz vectors, on which the
+                # projected operator is diagonal, then the residual block.
+                q_basis[:, :keep] = basis @ s_mat[:, :keep]
+                t_mat[:keep, :keep] = np.diag(vals[:keep])
+                p = keep
+        # Directions this far below the largest are mostly rounding and not
+        # orthogonal to the basis (an almost invariant subspace): replace
+        # them with random ones.
+        lost = sig <= 1e-8 * sig[0]
+        if lost.any():
+            fresh = rng.standard_normal((dim, int(lost.sum())))
+            spanned = np.hstack([q_basis[:, :p], block[:, ~lost]])
+            for _ in range(2):
+                fresh -= spanned @ (spanned.T @ fresh)
+            block[:, lost] = np.linalg.qr(fresh)[0]
+        q_basis[:, p:p + k] = block
+        lo, p = p, p + k

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscdmrg import (
     Block,
@@ -421,3 +423,42 @@ def test_multi_target_flattens_block_spectrum():
     assert tails[1] <= tails[3] + 1e-12
     assert tails[3] <= tails[5] + 1e-12
     assert lam1[5] < lam1[1]
+
+
+def _random_sym(rng, dim):
+    a = rng.standard_normal((dim, dim))
+    return 0.5 * (a + a.T)
+
+
+@st.composite
+def _blocks(draw):
+    """An empty block, or a block of random symmetric operators."""
+    length = draw(st.integers(0, 3))
+    if length == 0:
+        return Block.empty()
+    dim = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return Block(length, dim, _random_sym(rng, dim), _random_sym(rng, dim))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(left=_blocks(), right=_blocks(), ds=st.integers(1, 6), nb=st.integers(1, 5),
+       coeff=st.floats(-2.0, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_superblock_matvec_equals_kron_assembly(left, right, ds, nb, coeff, seed):
+    from oscdmrg.dmrg import _superblock_matvec
+
+    rng = np.random.default_rng(seed)
+    ops = SiteOperators(h=_random_sym(rng, ds), x=_random_sym(rng, ds), bond_coeff=coeff)
+    apply, apply_block, dims = _superblock_matvec(left, ops, right)
+    assert dims == (left.basis_dim, ds, right.basis_dim)
+    hl, xl, hr, xr = left.hamiltonian, left.edge_x, right.hamiltonian, right.edge_x
+    il, i_s, ir = np.eye(left.basis_dim), np.eye(ds), np.eye(right.basis_dim)
+
+    def kron3(a, b, c):
+        return np.kron(a, np.kron(b, c))
+
+    ham = (kron3(hl, i_s, ir) + kron3(il, ops.h, ir) + kron3(il, i_s, hr)
+           + coeff * (kron3(xl, ops.x, ir) + kron3(il, ops.x, xr)))
+    vblock = rng.standard_normal((ham.shape[0], nb))
+    np.testing.assert_allclose(apply_block(vblock), ham @ vblock, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(apply(vblock[:, 0]), ham @ vblock[:, 0], rtol=0, atol=1e-12)

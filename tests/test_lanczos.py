@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscdmrg import ConvergenceError, dense_sym_eig, lowest_k
+from oscdmrg.lanczos import _DENSE_CUTOFF
 
 
 def _random_symmetric(dim, seed):
@@ -111,3 +114,66 @@ def test_lowest_k_warm_start():
     warm = lowest_k(lambda v: mat @ v, 500, 2, seed=1, v0=cold.vectors)
     np.testing.assert_allclose(warm.values, dense, atol=1e-8)
     assert warm.iterations <= cold.iterations
+
+
+@pytest.mark.parametrize("diagonal,columns", [(True, [0, 0]), (False, [0, 0]), (False, [1, 1, 0])])
+def test_lowest_k_start_block_without_full_rank(diagonal, columns):
+    # a start block that repeats an exact eigenvector: the Krylov block
+    # loses rank after one step and must continue in fresh directions
+    rng = np.random.default_rng(5)
+    dim = 500
+    vals = np.sort(rng.uniform(-10.0, 10.0, dim))
+    vecs = np.eye(dim) if diagonal else np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    mat = (vecs * vals) @ vecs.T
+    k = len(columns)
+    res = lowest_k(lambda v: mat @ v, dim, k, v0=vecs[:, columns],
+                   apply_block=lambda vb: mat @ vb)
+    np.testing.assert_allclose(res.values, vals[:k], rtol=0, atol=1e-8)
+    np.testing.assert_allclose(res.vectors.T @ res.vectors, np.eye(k), rtol=0, atol=1e-10)
+
+
+@st.composite
+def _eigenproblems(draw):
+    """A symmetric matrix with known spectrum, a k and an optional start.
+
+    Dimensions fall on both sides of the dense cutoff. The lowest pair may
+    be exactly degenerate, a diagonal matrix makes exact eigenvectors span
+    an exactly invariant subspace, and a start block may repeat a column,
+    so that it has lost rank."""
+    iterative = draw(st.booleans())
+    dim = draw(st.integers(_DENSE_CUTOFF + 1, 600) if iterative else st.integers(2, _DENSE_CUTOFF))
+    k = draw(st.integers(1, min(4, dim)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    degenerate = draw(st.booleans())
+    diagonal = draw(st.booleans())
+    start_noise = draw(st.sampled_from([None, 0.0, 1e-6, 1e-2, 1.0]))
+    repeat_column = draw(st.booleans())
+    rng = np.random.default_rng(seed)
+    vals = np.sort(rng.uniform(-10.0, 10.0, dim))
+    if degenerate:
+        vals[1] = vals[0]
+    vecs = np.eye(dim) if diagonal else np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    mat = (vecs * vals) @ vecs.T
+    mat = 0.5 * (mat + mat.T)
+    v0 = None
+    if start_noise is not None:
+        v0 = vecs[:, :k] + start_noise * rng.standard_normal((dim, k))
+        if repeat_column:
+            v0[:, -1] = v0[:, 0]
+    return mat, k, seed, v0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_eigenproblems(), st.booleans())
+def test_lowest_k_agrees_with_eigh(problem, batched):
+    mat, k, seed, v0 = problem
+    dim = mat.shape[0]
+    tol = 1e-10
+    res = lowest_k(lambda v: mat @ v, dim, k, tol=tol, seed=seed, v0=v0,
+                   apply_block=(lambda vb: mat @ vb) if batched else None)
+    np.testing.assert_allclose(res.values, np.linalg.eigvalsh(mat)[:k], rtol=0, atol=1e-8)
+    np.testing.assert_allclose(res.vectors.T @ res.vectors, np.eye(k), rtol=0, atol=1e-10)
+    resid = np.linalg.norm(mat @ res.vectors - res.vectors * res.values, axis=0)
+    bound = tol * np.maximum(1.0, np.abs(res.values))
+    assert np.all(np.abs(res.residual_norms - resid) <= 1e-3 * bound)
+    assert np.all(resid <= bound * 1.001)
