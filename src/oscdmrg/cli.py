@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import sys
 from dataclasses import dataclass
 
@@ -31,8 +32,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_CONFIG = 3
-
-COMMANDS = ("analytic", "ed", "dmrg", "scan-basis", "scan-size", "rdm-table", "spectrum")
 
 
 class _UsageError(Exception):
@@ -55,7 +54,8 @@ def _parse_int_list(text: str) -> list[int]:
         raise ValueError(f"not an integer list: {text!r}") from err
 
 
-# key -> (converter, default); defaults may be overridden per command.
+# flag name -> (converter, default): each option's one declaration. A
+# command may override defaults in _COMMANDS.
 _OPTION_SPEC = {
     "N": (int, 50),
     "hbar": (float, 1.0),
@@ -73,77 +73,45 @@ _OPTION_SPEC = {
     "delimiter": (str, ","),
 }
 
-_COMMAND_DEFAULTS = {
-    "analytic": {},
-    "ed": {"m": 14, "levels": 2},
-    "dmrg": {"basis-mode": "optimized"},
-    "scan-basis": {"N": 50},
-    "scan-size": {"n": 10, "ntar": 2, "basis-mode": "optimized"},
-    # Table-style central-site spectra: the source experiment does not state
-    # its chain size; N=10 puts the leading weight in the documented range.
-    "rdm-table": {"N": 10, "n": 8, "basis-mode": "optimized"},
-    "spectrum": {},
-}
-
 
 @dataclass
 class RunConfig:
-    """Fully resolved options for one command invocation."""
+    """One command invocation: its name and every option of ``_OPTION_SPEC``,
+    resolved and keyed by flag name (``cfg["n-list"]``)."""
 
     command: str
-    n_sites: int
-    hbar_tilde: float
-    bare_dim: int
-    kept_states: int
-    feed_size: int
-    n_targets: int
-    n_sweeps: int
-    basis_mode: str | None
-    seed: int
-    n_list: list[int]
-    size_list: list[int]
-    levels: int
-    output_path: str | None
-    csv_delimiter: str
+    options: dict
+
+    def __getitem__(self, key: str):
+        return self.options[key]
 
     def chain_spec(self, n_sites: int | None = None) -> ChainSpec:
-        return ChainSpec(
-            n_sites=self.n_sites if n_sites is None else n_sites,
-            hbar_tilde=self.hbar_tilde,
-            bare_dim=self.bare_dim,
-        )
+        return ChainSpec(self["N"] if n_sites is None else n_sites, self["hbar"], self["m"])
 
     def dmrg_config(self, kept: int | None = None, n_targets: int | None = None,
                     optimized: bool | None = None) -> DmrgConfig:
         if optimized is None:
-            optimized = (self.basis_mode or "optimized") == "optimized"
+            optimized = (self["basis-mode"] or "optimized") == "optimized"
         return DmrgConfig(
-            kept_states=self.kept_states if kept is None else kept,
-            feed_size=self.feed_size,
-            n_targets=self.n_targets if n_targets is None else n_targets,
-            n_sweeps=self.n_sweeps,
+            kept_states=self["n"] if kept is None else kept,
+            feed_size=self["n1"],
+            n_targets=self["ntar"] if n_targets is None else n_targets,
+            n_sweeps=self["sweeps"],
             optimized=optimized,
-            seed=self.seed,
+            seed=self["seed"],
         )
 
     def echo(self) -> str:
-        items = {
-            "command": self.command,
-            "N": self.n_sites,
-            "hbar": self.hbar_tilde,
-            "m": self.bare_dim,
-            "n": self.kept_states,
-            "n1": self.feed_size,
-            "ntar": self.n_targets,
-            "sweeps": self.n_sweeps,
-            "basis-mode": self.basis_mode or "both",
-            "seed": self.seed,
-            "n-list": ",".join(str(v) for v in self.n_list),
-            "N-list": ",".join(str(v) for v in self.size_list),
-            "levels": self.levels,
-            "delimiter": self.csv_delimiter,
-        }
-        return " ".join(f"{k}={v}" for k, v in items.items())
+        items = [f"command={self.command}"]
+        for key, value in self.options.items():
+            if key == "out":
+                continue
+            if key == "basis-mode":
+                value = value or "both"
+            elif isinstance(value, list):
+                value = ",".join(str(v) for v in value)
+            items.append(f"{key}={value}")
+        return " ".join(items)
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -169,7 +137,7 @@ def _read_config_file(path: str) -> dict[str, str]:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="oscdmrg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _COMMANDS:
         p = sub.add_parser(name, add_help=True)
         p.add_argument("--config", type=str, default=None)
         for key, (conv, _default) in _OPTION_SPEC.items():
@@ -180,37 +148,26 @@ def _build_parser() -> _Parser:
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
     command = args.command
-    values: dict[str, object] = {}
-    for key, (_conv, default) in _OPTION_SPEC.items():
-        values[key] = _COMMAND_DEFAULTS.get(command, {}).get(key, default)
+    values = {key: _COMMANDS[command][1].get(key, default)
+              for key, (_conv, default) in _OPTION_SPEC.items()}
     if args.config:
-        raw = _read_config_file(args.config)
-        for key, text in raw.items():
-            conv = _OPTION_SPEC[key][0]
+        for key, text in _read_config_file(args.config).items():
             try:
-                values[key] = conv(text)
+                values[key] = _OPTION_SPEC[key][0](text)
             except ValueError as err:
                 raise _ConfigError(f"config key '{key}': {err}") from err
     for key in _OPTION_SPEC:
         if getattr(args, key) is not None:
             values[key] = getattr(args, key)
-    return RunConfig(
-        command=command,
-        n_sites=values["N"],
-        hbar_tilde=values["hbar"],
-        bare_dim=values["m"],
-        kept_states=values["n"],
-        feed_size=values["n1"],
-        n_targets=values["ntar"],
-        n_sweeps=values["sweeps"],
-        basis_mode=values["basis-mode"],
-        seed=values["seed"],
-        n_list=list(values["n-list"]),
-        size_list=list(values["N-list"]),
-        levels=values["levels"],
-        output_path=values["out"],
-        csv_delimiter=values["delimiter"],
-    )
+    # Checked here, not when the CSV is written after every solve.
+    if len(values["delimiter"]) != 1:
+        raise _UsageError(f"--delimiter must be one character, got {values['delimiter']!r}")
+    out_dir = os.path.dirname(values["out"] or "") or "."
+    if not os.path.isdir(out_dir):
+        raise _UsageError(f"--out directory {out_dir!r} does not exist")
+    # Copies, so that the shared list defaults are never aliased.
+    return RunConfig(command, {key: list(value) if isinstance(value, list) else value
+                               for key, value in values.items()})
 
 
 def _fmt(value) -> str:
@@ -226,13 +183,13 @@ def _fmt(value) -> str:
 def _write_csv(cfg: RunConfig, columns: list[str], rows: list[dict]) -> None:
     buf = io.StringIO()
     buf.write(f"# config: {cfg.echo()}\n")
-    writer = csv.writer(buf, delimiter=cfg.csv_delimiter, lineterminator="\n")
+    writer = csv.writer(buf, delimiter=cfg["delimiter"], lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
         writer.writerow([_fmt(row.get(col)) for col in columns])
     text = buf.getvalue()
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
+    if cfg["out"]:
+        with open(cfg["out"], "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -257,7 +214,7 @@ def _cmd_analytic(cfg: RunConfig) -> int:
 
 def _cmd_ed(cfg: RunConfig) -> int:
     spec = cfg.chain_spec()
-    energies, _states = ed_lowest(spec, max(cfg.levels, 1), seed=cfg.seed)
+    energies, _states = ed_lowest(spec, cfg["levels"], seed=cfg["seed"])
     rows = [
         {"level": i, "energy": float(e), "excitation": float(e - energies[0])}
         for i, e in enumerate(energies)
@@ -290,46 +247,45 @@ def _cmd_dmrg(cfg: RunConfig) -> int:
     return EXIT_NO_CONVERGENCE
 
 
+def _scan_row(row: dict, cfg: RunConfig, spec: ChainSpec, fill, **overrides) -> dict:
+    """One scan point: run DMRG on ``spec`` and add ``fill(result)`` to the
+    row. Its status is ok, not-converged or the error that stopped the
+    solve, so one bad point does not end the scan."""
+    try:
+        result = run_dmrg(spec, cfg.dmrg_config(**overrides))
+        row.update(fill(result))
+        row["status"] = "ok" if result.converged else "not-converged"
+    except (ConvergenceError, ValueError, ResourceLimitError) as err:
+        row["status"] = f"error: {err}"
+    return row
+
+
 def _cmd_scan_basis(cfg: RunConfig) -> int:
     spec = cfg.chain_spec()
     exact = ground_energy_closed(spec)
-    modes = ("bare", "optimized") if cfg.basis_mode is None else (cfg.basis_mode,)
-    rows = []
-    for n in sorted(cfg.n_list):
-        for mode in sorted(modes):
-            row = {"n": n, "basis_mode": mode, "E_exact": exact, "status": "ok"}
-            try:
-                result = run_dmrg(spec, cfg.dmrg_config(kept=n, optimized=mode == "optimized"))
-                row["E_dmrg"] = float(result.energies[0])
-                row["rel_err"] = _rel_err(result.energies[0], exact)
-                row["S_E"] = result.entanglement_SE
-                if not result.converged:
-                    row["status"] = "not-converged"
-            except (ConvergenceError, ValueError, ResourceLimitError) as err:
-                row["status"] = f"error: {err}"
-            rows.append(row)
+    modes = ("bare", "optimized") if cfg["basis-mode"] is None else (cfg["basis-mode"],)
+
+    def fill(result):
+        e0 = result.energies[0]
+        return {"E_dmrg": float(e0), "rel_err": _rel_err(e0, exact),
+                "S_E": result.entanglement_SE}
+
+    rows = [_scan_row({"n": n, "basis_mode": mode, "E_exact": exact}, cfg, spec, fill,
+                      kept=n, optimized=mode == "optimized")
+            for n in sorted(cfg["n-list"]) for mode in sorted(modes)]
     _write_csv(cfg, ["n", "basis_mode", "E_dmrg", "E_exact", "rel_err", "S_E", "status"], rows)
     return EXIT_OK
 
 
 def _cmd_scan_size(cfg: RunConfig) -> int:
-    if cfg.n_targets < 2:
+    if cfg["ntar"] < 2:
         raise _UsageError("scan-size needs --ntar >= 2 to resolve the gap")
     rows = []
-    for n_sites in sorted(cfg.size_list):
-        spec = cfg.chain_spec(n_sites=n_sites)
-        exact_e0 = ground_energy_closed(spec)
-        exact_gap = first_gap(spec)
-        row = {"N": n_sites, "status": "ok"}
-        try:
-            result = run_dmrg(spec, cfg.dmrg_config())
-            row["rel_err_E0"] = _rel_err(result.energies[0], exact_e0)
-            row["rel_err_gap"] = _rel_err(result.gap, exact_gap)
-            if not result.converged:
-                row["status"] = "not-converged"
-        except (ConvergenceError, ValueError, ResourceLimitError) as err:
-            row["status"] = f"error: {err}"
-        rows.append(row)
+    for n_sites in sorted(cfg["N-list"]):
+        spec = cfg.chain_spec(n_sites)
+        e0, gap = ground_energy_closed(spec), first_gap(spec)
+        rows.append(_scan_row({"N": n_sites}, cfg, spec, lambda r: {
+            "rel_err_E0": _rel_err(r.energies[0], e0), "rel_err_gap": _rel_err(r.gap, gap)}))
     _write_csv(cfg, ["N", "rel_err_E0", "rel_err_gap", "status"], rows)
     return EXIT_OK
 
@@ -340,43 +296,37 @@ def _cmd_rdm_table(cfg: RunConfig, n_ranks: int = 20) -> int:
     # is capped by n times the number of targeted states.
     spec = cfg.chain_spec()
     columns = ["rank"] + [f"lambda_ntar{t}" for t in range(1, 6)]
-    table = {}
+    table = np.zeros((n_ranks, 5))
     for t in range(1, 6):
-        result = run_dmrg(spec, cfg.dmrg_config(n_targets=t))
-        lams = np.zeros(n_ranks)
-        found = result.central_block_lambdas[:n_ranks]
-        found = np.where(np.abs(found) < 1e-14, 0.0, found)  # machine floor
-        lams[: found.size] = found
-        table[t] = lams
-    rows = []
-    for r in range(n_ranks):
-        row = {"rank": r + 1}
-        for t in range(1, 6):
-            row[f"lambda_ntar{t}"] = float(table[t][r])
-        rows.append(row)
+        found = run_dmrg(spec, cfg.dmrg_config(n_targets=t)).central_block_lambdas[:n_ranks]
+        # Zero out the machine floor.
+        table[: found.size, t - 1] = np.where(np.abs(found) < 1e-14, 0.0, found)
+    rows = [dict(zip(columns, [r + 1, *map(float, lams)])) for r, lams in enumerate(table)]
     _write_csv(cfg, columns, rows)
     return EXIT_OK
 
 
 def _cmd_spectrum(cfg: RunConfig) -> int:
     rows = []
-    for n_sites in sorted(cfg.size_list):
-        spec = cfg.chain_spec(n_sites=n_sites)
-        levels = spectrum(spec, cfg.levels)
+    for n_sites in sorted(cfg["N-list"]):
+        levels = spectrum(cfg.chain_spec(n_sites), cfg["levels"])
         for i, e in enumerate(levels, start=1):
             rows.append({"N": n_sites, "level_index": i, "excitation_energy": float(e)})
     _write_csv(cfg, ["N", "level_index", "excitation_energy"], rows)
     return EXIT_OK
 
 
-_DISPATCH = {
-    "analytic": _cmd_analytic,
-    "ed": _cmd_ed,
-    "dmrg": _cmd_dmrg,
-    "scan-basis": _cmd_scan_basis,
-    "scan-size": _cmd_scan_size,
-    "rdm-table": _cmd_rdm_table,
-    "spectrum": _cmd_spectrum,
+# command -> (handler, the option defaults it overrides)
+_COMMANDS = {
+    "analytic": (_cmd_analytic, {}),
+    "ed": (_cmd_ed, {"m": 14, "levels": 2}),
+    "dmrg": (_cmd_dmrg, {"basis-mode": "optimized"}),
+    "scan-basis": (_cmd_scan_basis, {"N": 50}),
+    "scan-size": (_cmd_scan_size, {"n": 10, "ntar": 2, "basis-mode": "optimized"}),
+    # Table-style central-site spectra: the source experiment does not state
+    # its chain size; N=10 puts the leading weight in the documented range.
+    "rdm-table": (_cmd_rdm_table, {"N": 10, "n": 8, "basis-mode": "optimized"}),
+    "spectrum": (_cmd_spectrum, {}),
 }
 
 
@@ -385,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _resolve(args)
-        return _DISPATCH[cfg.command](cfg)
+        return _COMMANDS[cfg.command][0](cfg)
     except _UsageError as err:
         print(f"oscdmrg: error: {err}", file=sys.stderr)
         return EXIT_USAGE

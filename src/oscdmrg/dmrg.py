@@ -67,12 +67,10 @@ class DmrgConfig:
 
     kept_states is the block and site basis size n; feed_size is the number
     of bare states fed per refinement step (0 disables the optimized-basis
-    refinement regardless of ``optimized``). bare_dim may restate the
-    chain's Fock cutoff m; when set it must agree with the ChainSpec.
+    refinement regardless of ``optimized``).
     """
 
     kept_states: int
-    bare_dim: int | None = None
     feed_size: int = 4
     n_targets: int = 1
     target_weights: tuple[float, ...] | None = None
@@ -87,8 +85,6 @@ class DmrgConfig:
     def __post_init__(self):
         if self.kept_states < 1:
             raise ValueError("kept_states must be >= 1")
-        if self.bare_dim is not None and self.bare_dim < 2:
-            raise ValueError("bare_dim must be >= 2")
         if self.feed_size < 0:
             raise ValueError("feed_size must be >= 0")
         if self.n_targets < 1:
@@ -280,7 +276,7 @@ def _superblock_matvec(left: Block, ops: SiteOperators, right: Block):
     rhx = np.vstack([right.hamiltonian, right.edge_x])
     shx = np.hstack([ops.h, ops.bond_coeff * ops.x])
 
-    def apply_block(vblock: np.ndarray) -> np.ndarray:
+    def apply(vblock: np.ndarray) -> np.ndarray:
         nb = vblock.shape[1]
         psi = vblock.reshape(dl, ds * dr * nb)
         out = np.zeros((dl, ds, dr, nb))
@@ -304,10 +300,7 @@ def _superblock_matvec(left: Block, ops: SiteOperators, right: Block):
         out += (shx @ stacked).reshape(ds, dl, dr, nb).transpose(1, 0, 2, 3)
         return out.reshape(dl * ds * dr, nb)
 
-    def apply(v: np.ndarray) -> np.ndarray:
-        return apply_block(v.reshape(-1, 1)).reshape(-1)
-
-    return apply, apply_block, (dl, ds, dr)
+    return apply, (dl, ds, dr)
 
 
 def superblock_solve(
@@ -324,7 +317,7 @@ def superblock_solve(
     (dim_L, dim_site, dim_R, k). k defaults to the configured number of
     targeted states, clamped to the superblock dimension.
     """
-    apply, apply_block, (dl, ds, dr) = _superblock_matvec(left, site_ops, right)
+    apply, (dl, ds, dr) = _superblock_matvec(left, site_ops, right)
     dim = dl * ds * dr
     if k is None:
         k = config.n_targets
@@ -337,7 +330,6 @@ def superblock_solve(
         max_iter=config.eig_max_iter,
         seed=config.seed,
         v0=v0,
-        apply_block=apply_block,
     )
     psi = res.vectors.reshape(dl, ds, dr, k)
     return res, psi
@@ -410,11 +402,6 @@ def _refine_site_basis(
     m = basis.bare_dim
     n = basis.kept_dim
     n1 = config.feed_size if config.optimized else 0
-    hbar = spec.hbar_tilde
-    a, ad = ladder_ops(m)
-    bare_h = onsite_term(m, hbar)
-    bare_x = a + ad
-    g = bond_coefficient(hbar)
 
     groups = [list(range(s, min(s + n1, m))) for s in range(0, m, n1)] if n1 else [[]]
     b_cur = basis.transform.copy()
@@ -438,7 +425,7 @@ def _refine_site_basis(
             fed_any = fed_any or extra.shape[1] > 0
             b_aug = np.hstack([b_cur, extra])
             aug = SiteBasis(m, b_aug.shape[1], b_aug)
-            ops = SiteOperators(project(bare_h, aug), project(bare_x, aug), g)
+            ops = site_operators(aug, spec.hbar_tilde)
             v0 = None
             if prev_psi_bare is not None:
                 # Transport the previous solutions into the new site basis;
@@ -506,10 +493,6 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
     n_sites = spec.n_sites
     if n_sites < 3:
         raise ValueError("run_dmrg requires N >= 3; use the exact oracle below that")
-    if config.bare_dim is not None and config.bare_dim != spec.bare_dim:
-        raise ValueError(
-            f"config bare_dim {config.bare_dim} != chain bare_dim {spec.bare_dim}"
-        )
     m = spec.bare_dim
     n = config.kept_states
     if n > m:

@@ -146,10 +146,7 @@ def ed_lowest(
 ) -> tuple[np.ndarray, list[FullState]]:
     """The k lowest exact eigenpairs: (ascending energies, states)."""
     ham = build_full_hamiltonian(spec)
-    res = lowest_k(
-        ham.matvec, ham.dim, k,
-        tol=tol, max_iter=max_iter, seed=seed, apply_block=ham.matvec_block,
-    )
+    res = lowest_k(ham.matvec_block, ham.dim, k, tol=tol, max_iter=max_iter, seed=seed)
     dims = (spec.bare_dim,) * spec.n_sites
     states = []
     for j in range(res.values.size):

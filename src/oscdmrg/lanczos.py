@@ -1,12 +1,13 @@
 """Symmetric eigensolvers.
 
 ``dense_sym_eig`` wraps the LAPACK full decomposition, used for density
-matrices and small Hamiltonians. ``lowest_k`` needs only a matrix-vector
-product, for superblock and exact diagonalizations where the operator is
-never materialized. Above ``_DENSE_CUTOFF`` it is a thick-restart block
-Lanczos: a step applies the operator to the newest block, projects the
-result on the whole basis once (filling the projected matrix), subtracts
-that, reorthogonalizes once more and splits off the next block by an SVD.
+matrices and small Hamiltonians. ``lowest_k`` needs only the operator's
+action on a block of vectors, for superblock and exact diagonalizations
+where the operator is never materialized. Above ``_DENSE_CUTOFF`` it is a
+thick-restart block Lanczos: a step applies the operator to the newest
+block, projects the result on the whole basis once (filling the projected
+matrix), subtracts that, reorthogonalizes once more and splits off the next
+block by an SVD.
 Full reorthogonalization keeps ghost eigenvalues out of the density-matrix
 spectra downstream. Every few steps the Ritz residuals are read off the
 projected matrix; once they pass, the operator is applied to the Ritz
@@ -74,12 +75,12 @@ def lowest_k(
     max_iter: int = 2000,
     seed: int = 0,
     v0: np.ndarray | None = None,
-    apply_block: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> EigResult:
     """The k algebraically smallest eigenpairs of a symmetric linear map.
 
-    ``apply`` maps a length-``dim`` vector to H @ v and must be symmetric
-    (the caller's contract). Convergence requires every residual to satisfy
+    ``apply`` is the one operator: it maps a ``(dim, j)`` block to
+    H @ block, every column at once, and must be symmetric (the caller's
+    contract). Convergence requires every residual to satisfy
     ``||H v - lambda v|| <= tol * max(1, |lambda|)``. ``max_iter`` caps the
     number of matrix-vector products; exceeding it raises
     :class:`ConvergenceError` carrying the current residual norms.
@@ -87,9 +88,7 @@ def lowest_k(
     Deterministic for a fixed seed: the starting block is drawn from a
     seeded generator and every reduction has a fixed order. ``v0`` may
     supply starting vectors (shape ``(dim,)`` or ``(dim, j)``); the first k
-    are used and missing ones come from the same generator. ``apply_block``
-    optionally applies H to every column of a matrix at once (pure
-    performance; must agree with ``apply``).
+    are used and missing ones come from the same generator.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -99,16 +98,12 @@ def lowest_k(
         raise ValueError(f"tol must be > 0, got {tol}")
     rng = np.random.default_rng(seed)
 
-    if apply_block is None:
-        def apply_block(vblock: np.ndarray) -> np.ndarray:
-            return np.column_stack([apply(vblock[:, j]) for j in range(vblock.shape[1])])
-
     if dim <= _DENSE_CUTOFF and max_iter >= dim:
         # Saturate the Krylov space outright: with full reorthogonalization
         # the basis would reach the whole space anyway at this size, and one
         # batched application is far cheaper than iterating toward it.
         ident = np.eye(dim)
-        t_mat = ident.T @ apply_block(ident)
+        t_mat = ident.T @ apply(ident)
         t_mat = 0.5 * (t_mat + t_mat.T)
         vals, vecs = np.linalg.eigh(t_mat)
         lam = vals[:k].copy()
@@ -142,7 +137,7 @@ def lowest_k(
     while True:
         # The newest block, contiguous: a column slice of q_basis is strided
         # and slows the caller's matvec severalfold.
-        w = apply_block(block)
+        w = apply(block)
         matvecs += k
         steps += 1
         basis = q_basis[:, :p]
@@ -165,7 +160,7 @@ def lowest_k(
             rnorm = np.linalg.norm(beta @ s_mat[lo:p, :k], axis=0)
             if np.all(rnorm <= bound):
                 x_vecs = basis @ s_mat[:, :k]
-                rnorm = np.linalg.norm(apply_block(x_vecs) - x_vecs * lam, axis=0)
+                rnorm = np.linalg.norm(apply(x_vecs) - x_vecs * lam, axis=0)
                 matvecs += k
                 if np.all(rnorm <= bound):
                     return EigResult(values=lam.copy(), vectors=x_vecs,

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import oscdmrg
-from oscdmrg.cli import main
+from oscdmrg.cli import _build_parser, _resolve, main
 
 
 def run_cli(args, capsys):
@@ -98,6 +98,40 @@ def test_config_file_bad_value_exits_three(tmp_path, capsys):
 def test_config_file_missing_exits_three(capsys):
     code, _, err = run_cli(["analytic", "--config", "/nonexistent/x.cfg"], capsys)
     assert code == 3
+
+
+_LISTS = "n-list=4,6,8,10 N-list=10,20,30,40,50,60,70,80,90,100"
+
+
+@pytest.mark.parametrize("command,echo", [
+    ("analytic", f"N=50 hbar=1.0 m=14 n=8 n1=4 ntar=1 sweeps=6 basis-mode=both seed=0 "
+                 f"{_LISTS} levels=10 delimiter=,"),
+    ("ed", f"N=50 hbar=1.0 m=14 n=8 n1=4 ntar=1 sweeps=6 basis-mode=both seed=0 "
+           f"{_LISTS} levels=2 delimiter=,"),
+    ("dmrg", f"N=50 hbar=1.0 m=14 n=8 n1=4 ntar=1 sweeps=6 basis-mode=optimized seed=0 "
+             f"{_LISTS} levels=10 delimiter=,"),
+    ("scan-basis", f"N=50 hbar=1.0 m=14 n=8 n1=4 ntar=1 sweeps=6 basis-mode=both seed=0 "
+                   f"{_LISTS} levels=10 delimiter=,"),
+    ("scan-size", f"N=50 hbar=1.0 m=14 n=10 n1=4 ntar=2 sweeps=6 basis-mode=optimized "
+                  f"seed=0 {_LISTS} levels=10 delimiter=,"),
+    ("rdm-table", f"N=10 hbar=1.0 m=14 n=8 n1=4 ntar=1 sweeps=6 basis-mode=optimized "
+                  f"seed=0 {_LISTS} levels=10 delimiter=,"),
+    ("spectrum", f"N=50 hbar=1.0 m=14 n=8 n1=4 ntar=1 sweeps=6 basis-mode=both seed=0 "
+                 f"{_LISTS} levels=10 delimiter=,"),
+])
+def test_config_echo_of_each_command_default(command, echo):
+    cfg = _resolve(_build_parser().parse_args([command]))
+    assert cfg.echo() == f"command={command} {echo}"
+
+
+def test_config_echo_merges_file_and_flags(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("N = 12\nhbar = 0.5\nn-list = 6 4\ndelimiter = ;\n")
+    args = _build_parser().parse_args(["scan-basis", "--config", str(path), "--basis-mode",
+                                       "bare", "--N-list", "3,5", "--seed", "7", "--N", "9"])
+    assert _resolve(args).echo() == (
+        "command=scan-basis N=9 hbar=0.5 m=14 n=8 n1=4 ntar=1 sweeps=6 basis-mode=bare "
+        "seed=7 n-list=6,4 N-list=3,5 levels=10 delimiter=;")
 
 
 def test_ed_command(capsys):
@@ -237,6 +271,36 @@ def test_csv_delimiter_option(capsys):
     header, rows = parse_csv(out, delimiter=";")
     assert header == ["quantity", "value"]
     assert len(rows) == 3
+
+
+def _no_solve(*_args, **_kwargs):
+    raise AssertionError("a bad option must be rejected before any solve")
+
+
+@pytest.mark.parametrize("flag", [["--delimiter", "ab"], ["--delimiter="]])
+def test_delimiter_must_be_one_character(flag, capsys, monkeypatch):
+    monkeypatch.setattr("oscdmrg.cli.run_dmrg", _no_solve)
+    code, out, err = run_cli(["scan-basis", "--N", "4", "--m", "6", *flag], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("oscdmrg: error: --delimiter must be one character")
+
+
+def test_out_directory_must_exist(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("oscdmrg.cli.run_dmrg", _no_solve)
+    target = tmp_path / "missing" / "scan.csv"
+    code, out, err = run_cli(["scan-size", "--out", str(target)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("oscdmrg: error: --out directory")
+    assert not target.parent.exists()
+
+
+def test_ed_rejects_zero_levels(capsys):
+    code, out, err = run_cli(["ed", "--N", "2", "--m", "6", "--levels", "0"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("oscdmrg: error:")
 
 
 def test_nine_significant_digits(capsys):

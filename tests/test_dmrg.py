@@ -138,10 +138,10 @@ def test_superblock_matvec_linearity():
     ops = site_operators(basis, 1.0)
     from oscdmrg.dmrg import _superblock_matvec
 
-    apply, _block, (dl, ds, dr) = _superblock_matvec(blk, ops, blk)
+    apply, (dl, ds, dr) = _superblock_matvec(blk, ops, blk)
     rng = np.random.default_rng(3)
-    u = rng.standard_normal(dl * ds * dr)
-    v = rng.standard_normal(dl * ds * dr)
+    u = rng.standard_normal((dl * ds * dr, 1))
+    v = rng.standard_normal((dl * ds * dr, 1))
     left = apply(2.0 * u - 0.7 * v)
     right = 2.0 * apply(u) - 0.7 * apply(v)
     np.testing.assert_allclose(left, right, atol=1e-12)
@@ -165,8 +165,6 @@ def test_run_dmrg_requires_three_sites():
         run_dmrg(ChainSpec(2, 1.0, 4), DmrgConfig(kept_states=2))
     with pytest.raises(ValueError):
         run_dmrg(ChainSpec(4, 1.0, 4), DmrgConfig(kept_states=8))
-    with pytest.raises(ValueError):
-        run_dmrg(ChainSpec(4, 1.0, 4), DmrgConfig(kept_states=2, bare_dim=6))
 
 
 def test_run_dmrg_lossless_three_site_matches_ed():
@@ -449,7 +447,7 @@ def test_superblock_matvec_equals_kron_assembly(left, right, ds, nb, coeff, seed
 
     rng = np.random.default_rng(seed)
     ops = SiteOperators(h=_random_sym(rng, ds), x=_random_sym(rng, ds), bond_coeff=coeff)
-    apply, apply_block, dims = _superblock_matvec(left, ops, right)
+    apply, dims = _superblock_matvec(left, ops, right)
     assert dims == (left.basis_dim, ds, right.basis_dim)
     hl, xl, hr, xr = left.hamiltonian, left.edge_x, right.hamiltonian, right.edge_x
     il, i_s, ir = np.eye(left.basis_dim), np.eye(ds), np.eye(right.basis_dim)
@@ -460,5 +458,4 @@ def test_superblock_matvec_equals_kron_assembly(left, right, ds, nb, coeff, seed
     ham = (kron3(hl, i_s, ir) + kron3(il, ops.h, ir) + kron3(il, i_s, hr)
            + coeff * (kron3(xl, ops.x, ir) + kron3(il, ops.x, xr)))
     vblock = rng.standard_normal((ham.shape[0], nb))
-    np.testing.assert_allclose(apply_block(vblock), ham @ vblock, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(apply(vblock[:, 0]), ham @ vblock[:, 0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(apply(vblock), ham @ vblock, rtol=0, atol=1e-12)

@@ -109,5 +109,5 @@ def test_ed_matrix_free_path_matches_dense_path():
     ham = build_full_hamiltonian(spec, force_matrix_free=True)
     from oscdmrg import lowest_k
 
-    res = lowest_k(ham.matvec, ham.dim, 2, apply_block=ham.matvec_block)
+    res = lowest_k(ham.matvec_block, ham.dim, 2)
     np.testing.assert_allclose(res.values, e_dense, atol=1e-9)

@@ -126,8 +126,7 @@ def test_lowest_k_start_block_without_full_rank(diagonal, columns):
     vecs = np.eye(dim) if diagonal else np.linalg.qr(rng.standard_normal((dim, dim)))[0]
     mat = (vecs * vals) @ vecs.T
     k = len(columns)
-    res = lowest_k(lambda v: mat @ v, dim, k, v0=vecs[:, columns],
-                   apply_block=lambda vb: mat @ vb)
+    res = lowest_k(lambda v: mat @ v, dim, k, v0=vecs[:, columns])
     np.testing.assert_allclose(res.values, vals[:k], rtol=0, atol=1e-8)
     np.testing.assert_allclose(res.vectors.T @ res.vectors, np.eye(k), rtol=0, atol=1e-10)
 
@@ -164,13 +163,12 @@ def _eigenproblems(draw):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(_eigenproblems(), st.booleans())
-def test_lowest_k_agrees_with_eigh(problem, batched):
+@given(_eigenproblems())
+def test_lowest_k_agrees_with_eigh(problem):
     mat, k, seed, v0 = problem
     dim = mat.shape[0]
     tol = 1e-10
-    res = lowest_k(lambda v: mat @ v, dim, k, tol=tol, seed=seed, v0=v0,
-                   apply_block=(lambda vb: mat @ vb) if batched else None)
+    res = lowest_k(lambda v: mat @ v, dim, k, tol=tol, seed=seed, v0=v0)
     np.testing.assert_allclose(res.values, np.linalg.eigvalsh(mat)[:k], rtol=0, atol=1e-8)
     np.testing.assert_allclose(res.vectors.T @ res.vectors, np.eye(k), rtol=0, atol=1e-10)
     resid = np.linalg.norm(mat @ res.vectors - res.vectors * res.values, axis=0)
