@@ -141,8 +141,7 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, add_help=True)
         p.add_argument("--config", type=str, default=None)
         for key, (conv, _default) in _OPTION_SPEC.items():
-            choices = ("bare", "optimized") if key == "basis-mode" else None
-            p.add_argument(f"--{key}", dest=key, type=conv, choices=choices, default=None)
+            p.add_argument(f"--{key}", dest=key, type=conv, default=None)
     return parser
 
 
@@ -159,12 +158,16 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     for key in _OPTION_SPEC:
         if getattr(args, key) is not None:
             values[key] = getattr(args, key)
-    # Checked here, not when the CSV is written after every solve.
+    # Checked here, before any solve, whether a value came from a flag or a file.
+    if values["basis-mode"] not in (None, "bare", "optimized"):
+        raise _UsageError(f"basis-mode must be bare or optimized, got {values['basis-mode']!r}")
     if len(values["delimiter"]) != 1:
         raise _UsageError(f"--delimiter must be one character, got {values['delimiter']!r}")
     out_dir = os.path.dirname(values["out"] or "") or "."
     if not os.path.isdir(out_dir):
         raise _UsageError(f"--out directory {out_dir!r} does not exist")
+    if values["out"] and os.path.isdir(values["out"]):
+        raise _UsageError(f"--out {values['out']!r} is a directory")
     # Copies, so that the shared list defaults are never aliased.
     return RunConfig(command, {key: list(value) if isinstance(value, list) else value
                                for key, value in values.items()})

@@ -389,7 +389,10 @@ def _refine_site_basis(
     the superblock is solved for the targeted states, and the n dominant
     eigenvectors of the averaged site density matrix become the new basis.
     Stops when the ground energy changes by less than ``basis_tol`` over a
-    full cycle, or when a cycle leaves the kept subspace unchanged. In bare
+    full cycle, or when a cycle leaves the kept subspace unchanged. A solve
+    whose augmented basis spans all m bare states (n + feed_size >= m) ends
+    the visit: its site is untruncated, so its n dominant states are exactly
+    the fixed point; later groups would re-solve it or a strict subspace. In bare
     mode (``optimized`` off or ``feed_size`` 0) the loop runs one empty
     group: a single solve in the given basis, which is kept as it is.
     ``guess`` (dim_L, kept_dim, dim_R, k), a wavefunction in the given
@@ -446,8 +449,11 @@ def _refine_site_basis(
             v_keep = v_dom if n1 else np.eye(n)
             b_cur = b_aug @ v_keep
             prev_psi_bare = np.tensordot(psi, b_aug, axes=(1, 1)).transpose(0, 3, 1, 2)
+            full_space = b_aug.shape[1] == m
+            if full_space:
+                break
         energy = eig.values[0]
-        if not fed_any:
+        if not fed_any or full_space:
             break
         if prev_energy is not None and abs(energy - prev_energy) < config.basis_tol:
             break

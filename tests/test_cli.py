@@ -296,6 +296,33 @@ def test_out_directory_must_exist(tmp_path, capsys, monkeypatch):
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("command", [["analytic", "--N", "2"], ["scan-size", "--N-list", "4"]])
+def test_out_must_not_be_a_directory(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("oscdmrg.cli.run_dmrg", _no_solve)
+    code, out, err = run_cli([*command, "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("oscdmrg: error: --out")
+    assert "is a directory" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_basis_mode_must_be_bare_or_optimized(source, tmp_path, capsys, monkeypatch):
+    # a bad value from a config file must fail like the flag, not silently
+    # run in bare mode
+    monkeypatch.setattr("oscdmrg.cli.run_dmrg", _no_solve)
+    path = tmp_path / "run.cfg"
+    path.write_text("basis-mode = foo\n")
+    given = ["--basis-mode", "foo"] if source == "flag" else ["--config", str(path)]
+    code, out, err = run_cli(["scan-basis", "--N", "4", "--m", "6", "--n-list", "3",
+                              "--sweeps", "2", *given], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("oscdmrg: error: basis-mode must be bare or optimized")
+    assert "'foo'" in err
+
+
 def test_ed_rejects_zero_levels(capsys):
     code, out, err = run_cli(["ed", "--N", "2", "--m", "6", "--levels", "0"], capsys)
     assert code == 1

@@ -384,6 +384,97 @@ def test_refinement_converges_to_unique_fixed_point():
     assert np.max(np.abs(b1 @ b1.T - b2 @ b2.T)) <= 1e-8
 
 
+def _counting_lowest_k(monkeypatch):
+    """Replace the solver dmrg calls with one that counts its calls."""
+    import oscdmrg.dmrg as dmrg_mod
+
+    calls = [0]
+    lowest_k = dmrg_mod.lowest_k
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return lowest_k(*args, **kwargs)
+
+    monkeypatch.setattr(dmrg_mod, "lowest_k", counted)
+    return calls
+
+
+def test_refinement_stops_at_first_full_space_solve(monkeypatch):
+    # n + feed_size >= m: the first group fed to a generic basis fills all m
+    # bare states, so that one solve has an untruncated site and its n
+    # dominant states are the refinement's exact fixed point. The oracle is
+    # a separate solve in the bare m-state basis. Groups are 3,3,3,1.
+    from oscdmrg import SiteBasis
+    from oscdmrg.dmrg import _averaged_rdm
+
+    m, n = 10, 7
+    spec = ChainSpec(5, 1.0, m)
+    cfg = DmrgConfig(kept_states=n, feed_size=3, n_targets=1)
+    start = bare_site_basis(m, n)
+    left1 = enlarge_block(Block.empty(), start, 1.0)
+    _eig, psi = superblock_solve(left1, site_operators(start, 1.0), left1, cfg)
+    rho = _averaged_rdm(psi, np.array([1.0]), (0, 1))
+    left2, _ = truncate_block(enlarge_block(left1, start, 1.0), rho, n)
+
+    rng = np.random.default_rng(3)
+    rand_cols = np.linalg.qr(rng.standard_normal((m, n)))[0]
+    calls = _counting_lowest_k(monkeypatch)
+    basis, record = optimize_site_basis(
+        spec, cfg, left2, left2, SiteBasis(m, n, rand_cols), position=3
+    )
+    assert calls[0] == 1
+
+    _eig, psi_full = superblock_solve(
+        left2, site_operators(bare_site_basis(m, m), 1.0), left2, cfg
+    )
+    rho_site = np.einsum("asb,atb->st", psi_full[..., 0], psi_full[..., 0])
+    lam, vecs = np.linalg.eigh(rho_site)
+    top = vecs[:, ::-1][:, :n]
+    b = basis.transform
+    assert np.max(np.abs(b @ b.T - top @ top.T)) <= 1e-8
+    assert record.discarded_weight == pytest.approx(lam[: m - n].sum(), abs=1e-10)
+
+
+def _solves_per_visit(monkeypatch, spec, cfg):
+    """lowest_k calls of each site visit of run_dmrg, in visit order, and
+    the index of the first visit after the first sweep."""
+    import oscdmrg.dmrg as dmrg_mod
+
+    calls = _counting_lowest_k(monkeypatch)
+    refine = dmrg_mod._refine_site_basis
+    visits = []
+
+    def counted_visit(*args, **kwargs):
+        before = calls[0]
+        out = refine(*args, **kwargs)
+        visits.append((kwargs["position"], calls[0] - before))
+        return out
+
+    monkeypatch.setattr(dmrg_mod, "_refine_site_basis", counted_visit)
+    run_dmrg(spec, cfg)
+    # the first sweep ends at its leftward visit of site 1
+    first_sweep_end = [pos for pos, _ in visits].index(1)
+    return [count for _, count in visits], first_sweep_end + 1
+
+
+def test_refinement_solves_per_visit_on_size_scan_shape(monkeypatch):
+    # n + n1 >= m: a visit ends at its first full-space solve
+    spec = ChainSpec(10, 1.0, 14)
+    cfg = DmrgConfig(kept_states=10, feed_size=4, n_targets=2)
+    counts, later = _solves_per_visit(monkeypatch, spec, cfg)
+    assert len(counts) > later
+    assert max(counts[later:]) <= 2
+
+
+def test_refinement_keeps_cycling_below_full_space(monkeypatch):
+    # n + n1 < m never spans the whole site space: the feed loop still
+    # runs several groups at every visit
+    spec = ChainSpec(8, 1.0, 10)
+    cfg = DmrgConfig(kept_states=5, feed_size=2)
+    counts, _later = _solves_per_visit(monkeypatch, spec, cfg)
+    assert min(counts) > 1
+
+
 def test_averaged_rdm_matches_einsum_partial_trace():
     from oscdmrg.dmrg import _averaged_rdm
 
