@@ -222,13 +222,10 @@ def enlarge_block(block: Block, site: SiteBasis, hbar_tilde: float) -> Block:
 
 
 def _dominant_states(
-    rdm: np.ndarray, n: int, position: int, kind: str
+    lam: np.ndarray, vecs: np.ndarray, n: int, position: int, kind: str
 ) -> tuple[np.ndarray, TruncationRecord]:
-    """The n dominant eigenvectors of a density matrix (as columns) and the
-    record of its full spectrum, descending."""
-    eig = dense_sym_eig(rdm)
-    lam = eig.values[::-1].copy()
-    v = eig.vectors[:, ::-1][:, :n].copy()
+    """The n leading columns of vecs and the record of keeping them, given
+    the full density-matrix spectrum lam and its vectors, both descending."""
     tie = bool(n < lam.size and lam[n - 1] - lam[n] <= _DEGENERACY_TOL)
     record = TruncationRecord(
         position=position,
@@ -238,21 +235,29 @@ def _dominant_states(
         kind=kind,
         boundary_degenerate=tie,
     )
-    return v, record
+    return vecs[:, :n].copy(), record
 
 
 def truncate_block(
-    block: Block, rdm: np.ndarray, n: int, position: int = 0
+    block: Block, factor: np.ndarray, n: int, position: int = 0
 ) -> tuple[Block, TruncationRecord]:
     """Rotate the block into the n dominant eigenvectors of its averaged
-    reduced density matrix. ``n == basis_dim`` is a pure rotation."""
-    rdm = np.asarray(rdm, dtype=float)
+    reduced density matrix, given as a factor (rho = factor @ factor.T):
+    the factor's leading left singular vectors; the spectrum is its squared
+    singular values. ``n == basis_dim`` is a pure rotation."""
+    factor = np.asarray(factor, dtype=float)
     dim = block.basis_dim
-    if rdm.shape != (dim, dim):
-        raise ValueError(f"rdm shape {rdm.shape} != block dim {dim}")
+    if factor.ndim != 2 or factor.shape[0] != dim:
+        raise ValueError(f"factor shape {factor.shape} does not have {dim} rows")
+    if not np.all(np.isfinite(factor)):
+        raise ValueError("factor has non-finite entries")
     if n > dim:
         raise ValueError(f"cannot keep {n} states of a {dim}-dimensional block")
-    v, record = _dominant_states(rdm, n, position, "block")
+    # With fewer columns than kept states, the full U completes the kept set
+    # from the null space of rho.
+    u, sig, _vt = np.linalg.svd(factor, full_matrices=factor.shape[1] < n)
+    lam = np.pad(sig**2, (0, dim - sig.size))
+    v, record = _dominant_states(lam, u, n, position, "block")
     h = v.T @ block.hamiltonian @ v
     x = v.T @ block.edge_x @ v
     new = Block(
@@ -265,40 +270,36 @@ def truncate_block(
     return new, record
 
 
-def _superblock_matvec(left: Block, ops: SiteOperators, right: Block):
+def _superblock_matvec(left: Block, ops: SiteOperators, right: Block, k: int = 1):
+    """H @ block for the L-site-R superblock, and (dim_L, dim_site, dim_R).
+
+    One GEMM per side applies its stacked (H, x) pair (an empty block is
+    1x1 zeros); one site GEMM applies h and g*x to both bond pieces. The
+    right GEMM on k columns uses kron(R^T, 1_k) and needs no transposed
+    copy; on other widths (the dense path's identity) it is batched over
+    (left, site), as the kron would cost nb times the flops."""
     dl, ds, dr = left.basis_dim, ops.dim, right.basis_dim
-    use_l = left.length > 0
-    use_r = right.length > 0
-    # Stacked operator pairs let one GEMM produce both the Hamiltonian and
-    # the bond piece for each side; the site GEMM combines the on-site term
-    # with both bond completions.
     lhx = np.vstack([left.hamiltonian, left.edge_x])
     rhx = np.vstack([right.hamiltonian, right.edge_x])
+    rhx_kron = np.kron(rhx.T, np.eye(k))
     shx = np.hstack([ops.h, ops.bond_coeff * ops.x])
 
     def apply(vblock: np.ndarray) -> np.ndarray:
         nb = vblock.shape[1]
-        psi = vblock.reshape(dl, ds * dr * nb)
-        out = np.zeros((dl, ds, dr, nb))
-        acc = np.zeros((dl, ds, dr, nb))
-        if use_l:
-            both = (lhx @ psi).reshape(2, dl, ds, dr, nb)
-            out += both[0]
-            acc += both[1]
-        if use_r:
-            t = vblock.reshape(dl * ds, dr, nb).transpose(0, 2, 1).reshape(-1, dr)
-            both = (t @ rhx.T).reshape(dl * ds, nb, 2, dr)
-            out += both[:, :, 0, :].transpose(0, 2, 1).reshape(dl, ds, dr, nb)
-            acc += both[:, :, 1, :].transpose(0, 2, 1).reshape(dl, ds, dr, nb)
-        stacked = np.concatenate(
-            [
-                vblock.reshape(dl, ds, dr * nb),
-                acc.reshape(dl, ds, dr * nb),
-            ],
-            axis=1,
-        ).transpose(1, 0, 2).reshape(2 * ds, -1)
-        out += (shx @ stacked).reshape(ds, dl, dr, nb).transpose(1, 0, 2, 3)
-        return out.reshape(dl * ds * dr, nb)
+        psi = vblock.reshape(dl, ds, dr * nb)
+        lft = (lhx @ psi.reshape(dl, -1)).reshape(2, dl, ds, dr * nb)
+        if nb == k:
+            rgt = psi.reshape(dl * ds, -1) @ rhx_kron
+        else:
+            rgt = rhx @ psi.reshape(dl * ds, dr, nb)
+        rgt = rgt.reshape(dl, ds, 2, dr * nb)
+        stacked = np.empty((dl, 2 * ds, dr * nb))
+        stacked[:, :ds] = psi
+        np.add(lft[1], rgt[:, :, 1], out=stacked[:, ds:])
+        out = shx @ stacked
+        out += lft[0]
+        out += rgt[:, :, 0]
+        return out.reshape(-1, nb)
 
     return apply, (dl, ds, dr)
 
@@ -317,11 +318,11 @@ def superblock_solve(
     (dim_L, dim_site, dim_R, k). k defaults to the configured number of
     targeted states, clamped to the superblock dimension.
     """
-    apply, (dl, ds, dr) = _superblock_matvec(left, site_ops, right)
-    dim = dl * ds * dr
+    dim = left.basis_dim * site_ops.dim * right.basis_dim
     if k is None:
         k = config.n_targets
     k = min(k, dim)
+    apply, (dl, ds, dr) = _superblock_matvec(left, site_ops, right, k)
     res = lowest_k(
         apply,
         dim,
@@ -340,17 +341,21 @@ def _target_weights_for(config: DmrgConfig, k: int) -> np.ndarray:
     return w / w.sum()
 
 
-def _averaged_rdm(psi: np.ndarray, weights: np.ndarray, axes: tuple) -> np.ndarray:
-    """Target-averaged reduced density matrix of the superblock legs
-    ``axes`` of psi (shape (dim_L, dim_site, dim_R, k)), joined in that
-    index order; the other legs are traced out."""
+def _weighted_factor(psi: np.ndarray, weights: np.ndarray, axes: tuple) -> np.ndarray:
+    """M with M @ M.T the target-averaged reduced density matrix of the
+    superblock legs ``axes`` of psi (shape (dim_L, dim_site, dim_R, k)),
+    joined in that index order: the weighted targets side by side, with
+    the other legs in the columns."""
     rest = tuple(a for a in range(3) if a not in axes)
     dim = math.prod(psi.shape[a] for a in axes)
-    rho = np.zeros((dim, dim))
-    for j, w in enumerate(weights):
-        m = psi[..., j].transpose(axes + rest).reshape(dim, -1)
-        rho += w * (m @ m.T)
-    return 0.5 * (rho + rho.T)
+    return (psi * np.sqrt(weights)).transpose(axes + rest + (3,)).reshape(dim, -1)
+
+
+def _averaged_rdm(psi: np.ndarray, weights: np.ndarray, axes: tuple) -> np.ndarray:
+    """Target-averaged reduced density matrix of the superblock legs
+    ``axes`` of psi; the other legs are traced out."""
+    m = _weighted_factor(psi, weights, axes)
+    return m @ m.T
 
 
 def _feed_columns(basis: np.ndarray, group: list[int], m: int) -> np.ndarray:
@@ -443,8 +448,9 @@ def _refine_site_basis(
                     residual_norms=err.residual_norms,
                 ) from err
             weights = _target_weights_for(config, psi.shape[3])
+            site_eig = dense_sym_eig(_averaged_rdm(psi, weights, (1,)))
             v_dom, record = _dominant_states(
-                _averaged_rdm(psi, weights, (1,)), n, position, "site"
+                site_eig.values[::-1], site_eig.vectors[:, ::-1], n, position, "site"
             )
             v_keep = v_dom if n1 else np.eye(n)
             b_cur = b_aug @ v_keep
@@ -534,7 +540,8 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
 
     def move(p: int, psi_fin: np.ndarray, rightward: bool) -> None:
         """Absorb site p into the block on its left (rightward) or right,
-        truncating to n states from the averaged density matrix."""
+        truncating to n states of the averaged density matrix, from its
+        factor."""
         if rightward:
             blocks, j, axes = left, p, (0, 1)
         else:
@@ -542,8 +549,8 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
         enlarged = enlarge_block(blocks[j], bases[p], hbar)
         if enlarged.basis_dim > n:
             weights = _target_weights_for(config, psi_fin.shape[3])
-            rho = _averaged_rdm(psi_fin, weights, axes)
-            enlarged, rec = truncate_block(enlarged, rho, n, position=p + 1)
+            factor = _weighted_factor(psi_fin, weights, axes)
+            enlarged, rec = truncate_block(enlarged, factor, n, position=p + 1)
             records.append(rec)
         blocks[j + 1] = enlarged
 
@@ -628,8 +635,9 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
             energies = eig.values.copy()
             central_lams = np.asarray(site_lams, dtype=float)
             weights = _target_weights_for(config, psi_fin.shape[3])
-            rho_block = _averaged_rdm(psi_fin, weights, (0, 1))
-            central_block_lams = np.sort(np.linalg.eigvalsh(rho_block))[::-1].copy()
+            factor = _weighted_factor(psi_fin, weights, (0, 1))
+            sig = np.linalg.svd(factor, compute_uv=False)
+            central_block_lams = np.pad(sig**2, (0, factor.shape[0] - sig.size))
         if p < n_sites - 1:
             guess = step(p, psi_fin, rightward=True)
 

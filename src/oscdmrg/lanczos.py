@@ -7,7 +7,7 @@ where the operator is never materialized. Above ``_DENSE_CUTOFF`` it is a
 thick-restart block Lanczos: a step applies the operator to the newest
 block, projects the result on the whole basis once (filling the projected
 matrix), subtracts that, reorthogonalizes once more and splits off the next
-block by an SVD.
+block by an SVD (a norm, for one column).
 Full reorthogonalization keeps ghost eigenvalues out of the density-matrix
 spectra downstream. Every few steps the Ritz residuals are read off the
 projected matrix; once they pass, the operator is applied to the Ritz
@@ -26,8 +26,9 @@ from .errors import ConvergenceError
 __all__ = ["EigResult", "dense_sym_eig", "lowest_k"]
 
 # Below this dimension the Krylov basis is saturated in one batched
-# application instead of iterating toward it.
-_DENSE_CUTOFF = 384
+# application instead of iterating toward it (on superblock operators the
+# warm-started iterative solve is faster from about 128 states up).
+_DENSE_CUTOFF = 128
 # Lanczos steps between Rayleigh-Ritz convergence checks (a restart also
 # checks, and so does the first step, for warm starts).
 _CHECK_EVERY = 5
@@ -147,8 +148,13 @@ def lowest_k(
         w = w - basis @ coef
         w -= basis @ (basis.T @ w)
         # An SVD rather than a QR, because it shows when w loses rank.
-        # w = block @ beta couples the next block to this one.
-        block, sig, vt = np.linalg.svd(w, full_matrices=False)
+        # w = block @ beta couples the next block to this one. The SVD of a
+        # single column is its norm.
+        if k == 1:
+            sig, vt = np.linalg.norm(w, axis=0), np.ones((1, 1))
+            block = w / (sig[0] or 1.0)
+        else:
+            block, sig, vt = np.linalg.svd(w, full_matrices=False)
         beta = sig[:, None] * vt
         full = p + k > width
         if full or matvecs >= max_iter or steps - checked >= _CHECK_EVERY:

@@ -26,11 +26,12 @@ from oscdmrg import (
 )
 
 
-def _pure_state_rdm(dim, seed):
+def _pure_state(dim, seed):
+    """A random normalized state as one column: the factor of its density
+    matrix."""
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    return np.outer(v, v)
+    v = rng.standard_normal((dim, 1))
+    return v / np.linalg.norm(v)
 
 
 def assert_variational_sandwich(spec, result, slack=1e-9):
@@ -79,8 +80,8 @@ def test_two_enlargements_match_hand_assembled_two_site():
 def test_truncate_block_rotation_preserves_spectrum():
     basis = bare_site_basis(4, 4)
     blk = enlarge_block(enlarge_block(Block.empty(), basis, 1.0), basis, 1.0)
-    rho = _pure_state_rdm(16, seed=2)
-    rotated, record = truncate_block(blk, rho, 16, position=2)
+    state = _pure_state(16, seed=2)
+    rotated, record = truncate_block(blk, state, 16, position=2)
     before = np.linalg.eigvalsh(blk.hamiltonian)
     after = np.linalg.eigvalsh(rotated.hamiltonian)
     np.testing.assert_allclose(after, before, atol=1e-10)
@@ -90,8 +91,8 @@ def test_truncate_block_rotation_preserves_spectrum():
 def test_truncate_block_pure_state_rank_one():
     basis = bare_site_basis(3, 3)
     blk = enlarge_block(enlarge_block(Block.empty(), basis, 1.0), basis, 1.0)
-    rho = _pure_state_rdm(9, seed=7)
-    truncated, record = truncate_block(blk, rho, 1, position=2)
+    state = _pure_state(9, seed=7)
+    truncated, record = truncate_block(blk, state, 1, position=2)
     assert truncated.basis_dim == 1
     assert record.discarded_weight <= 1e-10
     assert record.kept == 1
@@ -100,7 +101,7 @@ def test_truncate_block_pure_state_rank_one():
         1.0 - record.lambdas[:1].sum(), abs=1e-12
     )
     with pytest.raises(ValueError):
-        truncate_block(blk, rho, 10)
+        truncate_block(blk, state, 10)
 
 
 def test_truncation_record_invariants():
@@ -108,9 +109,7 @@ def test_truncation_record_invariants():
     blk = enlarge_block(enlarge_block(Block.empty(), basis, 1.0), basis, 1.0)
     rng = np.random.default_rng(5)
     m = rng.standard_normal((9, 4))
-    rho = m @ m.T
-    rho /= np.trace(rho)
-    _, record = truncate_block(blk, rho, 3, position=2)
+    _, record = truncate_block(blk, m / np.sqrt(np.trace(m @ m.T)), 3, position=2)
     lam = record.lambdas
     assert np.all(np.diff(lam) <= 1e-12)
     assert np.all(lam >= -1e-10)
@@ -130,9 +129,11 @@ def test_superblock_single_site_reproduces_onsite_spectrum():
 
 def test_superblock_matvec_linearity():
     basis = bare_site_basis(4, 3)
+    state = _pure_state(4, seed=1)
+    rho = 0.5 * state @ state.T + 0.5 * np.eye(4) / 4
     blk = truncate_block(
         enlarge_block(Block.empty(), bare_site_basis(4, 4), 1.0),
-        _pure_state_rdm(4, seed=1) * 0.5 + 0.5 * np.eye(4) / 4,
+        np.linalg.cholesky(rho),
         3,
     )[0]
     ops = site_operators(basis, 1.0)
@@ -355,7 +356,7 @@ def test_refinement_converges_to_unique_fixed_point():
     # same kept subspace. (Monitored runs show the weight converges toward
     # its fixed point from either side, so only stabilization is asserted.)
     from oscdmrg import SiteBasis
-    from oscdmrg.dmrg import _averaged_rdm
+    from oscdmrg.dmrg import _weighted_factor
 
     spec = ChainSpec(5, 1.0, 10)
     cfg = DmrgConfig(kept_states=4, feed_size=2, n_targets=1)
@@ -363,8 +364,8 @@ def test_refinement_converges_to_unique_fixed_point():
     left1 = enlarge_block(Block.empty(), full, 1.0)
     ops = site_operators(full, 1.0)
     _eig, psi = superblock_solve(left1, ops, left1, cfg)
-    rho = _averaged_rdm(psi, np.array([1.0]), (0, 1))
-    left2, _ = truncate_block(enlarge_block(left1, full, 1.0), rho, 4)
+    factor = _weighted_factor(psi, np.array([1.0]), (0, 1))
+    left2, _ = truncate_block(enlarge_block(left1, full, 1.0), factor, 4)
 
     rng = np.random.default_rng(0)
     rand_cols = np.linalg.qr(rng.standard_normal((10, 4)))[0]
@@ -405,7 +406,7 @@ def test_refinement_stops_at_first_full_space_solve(monkeypatch):
     # dominant states are the refinement's exact fixed point. The oracle is
     # a separate solve in the bare m-state basis. Groups are 3,3,3,1.
     from oscdmrg import SiteBasis
-    from oscdmrg.dmrg import _averaged_rdm
+    from oscdmrg.dmrg import _weighted_factor
 
     m, n = 10, 7
     spec = ChainSpec(5, 1.0, m)
@@ -413,8 +414,8 @@ def test_refinement_stops_at_first_full_space_solve(monkeypatch):
     start = bare_site_basis(m, n)
     left1 = enlarge_block(Block.empty(), start, 1.0)
     _eig, psi = superblock_solve(left1, site_operators(start, 1.0), left1, cfg)
-    rho = _averaged_rdm(psi, np.array([1.0]), (0, 1))
-    left2, _ = truncate_block(enlarge_block(left1, start, 1.0), rho, n)
+    factor = _weighted_factor(psi, np.array([1.0]), (0, 1))
+    left2, _ = truncate_block(enlarge_block(left1, start, 1.0), factor, n)
 
     rng = np.random.default_rng(3)
     rand_cols = np.linalg.qr(rng.standard_normal((m, n)))[0]
@@ -532,13 +533,17 @@ def _blocks(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(left=_blocks(), right=_blocks(), ds=st.integers(1, 6), nb=st.integers(1, 5),
-       coeff=st.floats(-2.0, 2.0), seed=st.integers(0, 2**32 - 1))
-def test_superblock_matvec_equals_kron_assembly(left, right, ds, nb, coeff, seed):
+       block_width=st.booleans(), coeff=st.floats(-2.0, 2.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_superblock_matvec_equals_kron_assembly(left, right, ds, nb, block_width, coeff,
+                                                seed):
+    # blocks of the solve's width k and of other widths take different
+    # right-block products; the identity is the dense path's input
     from oscdmrg.dmrg import _superblock_matvec
 
     rng = np.random.default_rng(seed)
     ops = SiteOperators(h=_random_sym(rng, ds), x=_random_sym(rng, ds), bond_coeff=coeff)
-    apply, dims = _superblock_matvec(left, ops, right)
+    apply, dims = _superblock_matvec(left, ops, right, k=nb if block_width else 1)
     assert dims == (left.basis_dim, ds, right.basis_dim)
     hl, xl, hr, xr = left.hamiltonian, left.edge_x, right.hamiltonian, right.edge_x
     il, i_s, ir = np.eye(left.basis_dim), np.eye(ds), np.eye(right.basis_dim)
@@ -550,3 +555,54 @@ def test_superblock_matvec_equals_kron_assembly(left, right, ds, nb, coeff, seed
            + coeff * (kron3(xl, ops.x, ir) + kron3(il, ops.x, xr)))
     vblock = rng.standard_normal((ham.shape[0], nb))
     np.testing.assert_allclose(apply(vblock), ham @ vblock, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(apply(np.eye(ham.shape[0])), ham, rtol=0, atol=1e-12)
+    # a strided column slice of a wider array reads like its contiguous copy
+    strided = rng.standard_normal((ham.shape[0], nb + 2))[:, 1:-1]
+    np.testing.assert_allclose(apply(strided), apply(np.ascontiguousarray(strided)),
+                               rtol=0, atol=1e-12)
+
+
+@st.composite
+def _truncations(draw):
+    """A block, a target-weighted wavefunction factor of 1-3 targets and a
+    number of kept states. Its rows may outnumber its columns or not, and
+    it may have fewer columns than kept states."""
+    n_tar = draw(st.integers(1, 3))
+    dl, ds, dr = (draw(st.integers(1, 6)) for _ in range(3))
+    axes = draw(st.sampled_from([(0, 1), (2, 1)]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal((dl, ds, dr, n_tar))
+    psi /= np.linalg.norm(psi.reshape(-1, n_tar), axis=0)
+    weights = rng.uniform(0.1, 1.0, n_tar)
+    weights /= weights.sum()
+    dim = math.prod(psi.shape[a] for a in axes)
+    n = draw(st.integers(1, dim))
+    block = Block(2, dim, _random_sym(rng, dim), _random_sym(rng, dim))
+    return block, psi, weights, axes, n
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_truncations())
+def test_truncate_block_from_factor_matches_eigh_of_rho(problem):
+    # the left singular vectors of M are the eigenvectors of rho = M M^T
+    from oscdmrg.dmrg import _averaged_rdm, _weighted_factor
+
+    block, psi, weights, axes, n = problem
+    factor = _weighted_factor(psi, weights, axes)
+    rho = _averaged_rdm(psi, weights, axes)
+    np.testing.assert_allclose(factor @ factor.T, rho, rtol=0, atol=1e-14)
+    new, record = truncate_block(block, factor, n, position=3)
+
+    lam, vecs = np.linalg.eigh(rho)
+    lam, vecs = lam[::-1], vecs[:, ::-1]
+    np.testing.assert_allclose(record.lambdas, lam, rtol=0, atol=1e-12)
+    assert record.discarded_weight == pytest.approx(lam[n:].sum(), abs=1e-12)
+    v = new.rotation
+    assert v.shape == (block.basis_dim, n)
+    np.testing.assert_allclose(v.T @ v, np.eye(n), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(new.hamiltonian, v.T @ block.hamiltonian @ v,
+                               rtol=0, atol=1e-12)
+    if n == lam.size or lam[n - 1] - lam[n] > 1e-6:
+        top = vecs[:, :n]
+        np.testing.assert_allclose(v @ v.T, top @ top.T, rtol=0, atol=1e-8)

@@ -116,19 +116,25 @@ def test_lowest_k_warm_start():
     assert warm.iterations <= cold.iterations
 
 
-@pytest.mark.parametrize("diagonal,columns", [(True, [0, 0]), (False, [0, 0]), (False, [1, 1, 0])])
+@pytest.mark.parametrize("diagonal,columns",
+                         [(True, [0, 0]), (False, [0, 0]), (False, [1, 1, 0]), (True, [0])])
 def test_lowest_k_start_block_without_full_rank(diagonal, columns):
     # a start block that repeats an exact eigenvector: the Krylov block
-    # loses rank after one step and must continue in fresh directions
+    # loses rank after one step and must continue in fresh directions. A
+    # single exact eigenvector of a diagonal matrix leaves an exactly zero
+    # remainder, which the one-column split must not divide by.
     rng = np.random.default_rng(5)
     dim = 500
     vals = np.sort(rng.uniform(-10.0, 10.0, dim))
     vecs = np.eye(dim) if diagonal else np.linalg.qr(rng.standard_normal((dim, dim)))[0]
     mat = (vecs * vals) @ vecs.T
     k = len(columns)
-    res = lowest_k(lambda v: mat @ v, dim, k, v0=vecs[:, columns])
+    with np.errstate(divide="raise", invalid="raise"):
+        res = lowest_k(lambda v: mat @ v, dim, k, v0=vecs[:, columns])
     np.testing.assert_allclose(res.values, vals[:k], rtol=0, atol=1e-8)
     np.testing.assert_allclose(res.vectors.T @ res.vectors, np.eye(k), rtol=0, atol=1e-10)
+    resid = np.linalg.norm(mat @ res.vectors - res.vectors * res.values, axis=0)
+    assert np.all(resid <= 1e-10 * np.maximum(1.0, np.abs(res.values)) * 1.001)
 
 
 @st.composite
