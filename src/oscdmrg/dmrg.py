@@ -389,10 +389,12 @@ def _refine_site_basis(
 ):
     """Optimized-basis refinement at one site (the feed loop).
 
-    Cycles groups of ``feed_size`` bare states through the site basis:
-    each group is orthogonalized against the current basis and appended,
-    the superblock is solved for the targeted states, and the n dominant
-    eigenvectors of the averaged site density matrix become the new basis.
+    Cycles groups of ``feed_size`` bare states through the site basis, in
+    index order, or the states the basis holds least of first when one
+    group can complete the site space (n + feed_size >= m). Each group is
+    orthogonalized against the current basis and appended, the superblock
+    is solved for the targeted states, and the n dominant eigenvectors of
+    the averaged site density matrix become the new basis.
     Stops when the ground energy changes by less than ``basis_tol`` over a
     full cycle, or when a cycle leaves the kept subspace unchanged. A solve
     whose augmented basis spans all m bare states (n + feed_size >= m) ends
@@ -411,8 +413,12 @@ def _refine_site_basis(
     n = basis.kept_dim
     n1 = config.feed_size if config.optimized else 0
 
-    groups = [list(range(s, min(s + n1, m))) for s in range(0, m, n1)] if n1 else [[]]
     b_cur = basis.transform.copy()
+    order = np.arange(m)
+    if n + n1 >= m:
+        # With n + n1 < m the fixed point depends on the feed order.
+        order = np.argsort(np.sum(b_cur**2, axis=1), kind="stable")
+    groups = [order[s:s + n1] for s in range(0, m, n1)] if n1 else [[]]
     if max_cycles is None:
         max_cycles = _MAX_REFINE_CYCLES
     elif max_cycles < 1:

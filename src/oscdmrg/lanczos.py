@@ -5,9 +5,10 @@ matrices and small Hamiltonians. ``lowest_k`` needs only the operator's
 action on a block of vectors, for superblock and exact diagonalizations
 where the operator is never materialized. Above ``_DENSE_CUTOFF`` it is a
 thick-restart block Lanczos: a step applies the operator to the newest
-block, projects the result on the whole basis once (filling the projected
-matrix), subtracts that, reorthogonalizes once more and splits off the next
-block by an SVD (a norm, for one column).
+block, projects the result first on the columns it can reach (the previous
+block and itself; after a thick restart, every kept Ritz vector) and then
+once on the whole basis, adds both projections into the projected matrix,
+and splits off the next block by an SVD (a norm, for one column).
 Full reorthogonalization keeps ghost eigenvalues out of the density-matrix
 spectra downstream. Every few steps the Ritz residuals are read off the
 projected matrix; once they pass, the operator is applied to the Ritz
@@ -32,6 +33,8 @@ _DENSE_CUTOFF = 128
 # Lanczos steps between Rayleigh-Ritz convergence checks (a restart also
 # checks, and so does the first step, for warm starts).
 _CHECK_EVERY = 5
+# Rows a thick restart rotates at a time, which bounds its temporary.
+_RESTART_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -126,13 +129,13 @@ def lowest_k(
     keep = min(width - k, max(2 * k, width // 2))
     q_basis = np.empty((dim, width))
     t_mat = np.zeros((width, width))
-    start = rng.standard_normal((dim, k))
+    q_basis[:, :k] = rng.standard_normal((dim, k))
     if v0 is not None:
         v0 = np.asarray(v0, dtype=float).reshape(dim, -1)[:, :k]
-        start[:, : v0.shape[1]] = v0
-    block = np.linalg.qr(start)[0]
+        q_basis[:, : v0.shape[1]] = v0
+    block = np.linalg.qr(q_basis[:, :k])[0]
     q_basis[:, :k] = block
-    lo, p = 0, k
+    wlo, lo, p = 0, 0, k
     matvecs = steps = 0
     checked = 1 - _CHECK_EVERY
     while True:
@@ -142,11 +145,14 @@ def lowest_k(
         matvecs += k
         steps += 1
         basis = q_basis[:, :p]
+        near = q_basis[:, wlo:p]
+        near_coef = near.T @ w
+        w -= near @ near_coef
         coef = basis.T @ w
+        w -= basis @ coef
+        coef[wlo:] += near_coef
         t_mat[:p, lo:p] = coef
         t_mat[lo:p, :p] = coef.T
-        w = w - basis @ coef
-        w -= basis @ (basis.T @ w)
         # An SVD rather than a QR, because it shows when w loses rank.
         # w = block @ beta couples the next block to this one. The SVD of a
         # single column is its norm.
@@ -155,6 +161,7 @@ def lowest_k(
             block = w / (sig[0] or 1.0)
         else:
             block, sig, vt = np.linalg.svd(w, full_matrices=False)
+        del w  # so that it is not held through the next product
         beta = sig[:, None] * vt
         full = p + k > width
         if full or matvecs >= max_iter or steps - checked >= _CHECK_EVERY:
@@ -166,7 +173,9 @@ def lowest_k(
             rnorm = np.linalg.norm(beta @ s_mat[lo:p, :k], axis=0)
             if np.all(rnorm <= bound):
                 x_vecs = basis @ s_mat[:, :k]
-                rnorm = np.linalg.norm(apply(x_vecs) - x_vecs * lam, axis=0)
+                resid = apply(x_vecs)
+                resid -= x_vecs * lam
+                rnorm = np.linalg.norm(resid, axis=0)
                 matvecs += k
                 if np.all(rnorm <= bound):
                     return EigResult(values=lam.copy(), vectors=x_vecs,
@@ -180,9 +189,11 @@ def lowest_k(
             if full:
                 # Thick restart: the leading Ritz vectors, on which the
                 # projected operator is diagonal, then the residual block.
-                q_basis[:, :keep] = basis @ s_mat[:, :keep]
+                for rows in range(0, dim, _RESTART_ROWS):
+                    chunk = q_basis[rows:rows + _RESTART_ROWS]
+                    chunk[:, :keep] = chunk[:, :p] @ s_mat[:, :keep]
                 t_mat[:keep, :keep] = np.diag(vals[:keep])
-                p = keep
+                p, lo = keep, 0
         # Directions this far below the largest are mostly rounding and not
         # orthogonal to the basis (an almost invariant subspace): replace
         # them with random ones.
@@ -193,5 +204,8 @@ def lowest_k(
             for _ in range(2):
                 fresh -= spanned @ (spanned.T @ fresh)
             block[:, lost] = np.linalg.qr(fresh)[0]
+            lo = 0
         q_basis[:, p:p + k] = block
-        lo, p = p, p + k
+        # The next product reaches back to column wlo: the previous block, or
+        # after a restart or a replacement (lo = 0) the whole basis.
+        wlo, lo, p = lo, p, p + k

@@ -459,12 +459,14 @@ def _solves_per_visit(monkeypatch, spec, cfg):
 
 
 def test_refinement_solves_per_visit_on_size_scan_shape(monkeypatch):
-    # n + n1 >= m: a visit ends at its first full-space solve
+    # n + n1 >= m: the bare states the basis holds least of are fed first,
+    # so every visit, those of the first sweep included, is one full-space
+    # solve
     spec = ChainSpec(10, 1.0, 14)
     cfg = DmrgConfig(kept_states=10, feed_size=4, n_targets=2)
     counts, later = _solves_per_visit(monkeypatch, spec, cfg)
     assert len(counts) > later
-    assert max(counts[later:]) <= 2
+    assert counts == [1] * len(counts)
 
 
 def test_refinement_keeps_cycling_below_full_space(monkeypatch):

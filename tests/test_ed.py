@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscdmrg import (
     ChainSpec,
@@ -60,6 +62,32 @@ def test_hamiltonian_symmetric_and_paths_agree():
     v = rng.standard_normal((125, 4))
     np.testing.assert_allclose(free.matvec_block(v), h @ v, atol=1e-11)
     np.testing.assert_allclose(free.matvec(v[:, 0]), h @ v[:, 0], atol=1e-11)
+
+
+@st.composite
+def _matvec_problems(draw):
+    """A chain of at most 1024 states and a block of 1-3 columns, so that
+    bonds with r = m^(N-i-2) * nb of at most 2 and above 2 both occur."""
+    m = draw(st.integers(2, 5))
+    n_sites = draw(st.integers(2, {2: 6, 3: 6, 4: 5, 5: 4}[m]))
+    hbar = draw(st.floats(0.5, 2.0))
+    nb = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return ChainSpec(n_sites, hbar, m), nb, seed
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_matvec_problems())
+def test_matrix_free_matvec_equals_dense_assembly(problem):
+    spec, nb, seed = problem
+    ham = build_full_hamiltonian(spec, force_matrix_free=True)
+    h = build_full_hamiltonian(spec).dense()  # ham.dense() would cache it on ham
+    q = np.random.default_rng(seed).standard_normal((ham.dim, nb + 2))
+    block = q[:, 1:1 + nb]  # a strided column slice, as of a Krylov basis
+    out = ham.matvec_block(block)
+    np.testing.assert_allclose(out, h @ block, rtol=0, atol=1e-11)
+    np.testing.assert_array_equal(out, ham.matvec_block(block.copy()))
+    np.testing.assert_allclose(ham.matvec(q[:, 0]), h @ q[:, 0], rtol=0, atol=1e-11)
 
 
 def test_resource_guards():

@@ -137,6 +137,32 @@ def test_lowest_k_start_block_without_full_rank(diagonal, columns):
     assert np.all(resid <= 1e-10 * np.maximum(1.0, np.abs(res.values)) * 1.001)
 
 
+@pytest.mark.parametrize("case,k", [("random", 1), ("random", 2), ("random", 4),
+                                    ("degenerate", 3), ("eigenvector", 2)])
+def test_lowest_k_windowed_projection(case, k):
+    # Each product is projected first on the columns it can reach, then once
+    # on the whole basis. At dim 600 and tol 1e-12 the solve goes through
+    # several thick restarts (the basis holds at most 34 columns), after
+    # which the product reaches every kept Ritz vector. A start column that
+    # is an exact eigenvector of a diagonal matrix loses its direction at
+    # the first step, and the random replacement reaches the whole basis.
+    dim, tol = 600, 1e-12
+    rng = np.random.default_rng(7)
+    vals = np.sort(rng.uniform(-10.0, 10.0, dim))
+    if case == "degenerate":
+        vals[1] = vals[0]
+    diagonal = case == "eigenvector"
+    vecs = np.eye(dim) if diagonal else np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    mat = (vecs * vals) @ vecs.T
+    v0 = np.column_stack([vecs[:, 0], rng.standard_normal(dim)]) if diagonal else None
+    res = lowest_k(lambda v: mat @ v, dim, k, tol=tol, seed=3, v0=v0)
+    assert res.iterations > 100
+    np.testing.assert_allclose(res.values, np.linalg.eigvalsh(mat)[:k], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(res.vectors.T @ res.vectors, np.eye(k), rtol=0, atol=1e-12)
+    resid = np.linalg.norm(mat @ res.vectors - res.vectors * res.values, axis=0)
+    assert np.all(resid <= tol * np.maximum(1.0, np.abs(res.values)))
+
+
 @st.composite
 def _eigenproblems(draw):
     """A symmetric matrix with known spectrum, a k and an optional start.
