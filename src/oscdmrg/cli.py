@@ -242,9 +242,12 @@ def _cmd_dmrg(cfg: RunConfig) -> int:
     _write_csv(cfg, ["quantity", "value"], rows)
     if result.converged:
         return EXIT_OK
-    trace = result.sweep_energy_trace
+    trace, tol = result.sweep_energy_trace, result.sweep_tolerances[-1]
     missed = (f"last sweep-to-sweep |dE| {abs(trace[-1] - trace[-2]):.3g}"
               if trace.size >= 2 else "no sweep-to-sweep |dE| after one sweep")
+    if trace.size >= 2 and abs(trace[-1] - trace[-2]) < config.energy_tol:
+        missed += (f" met energy_tol, but that sweep solved to tolerance {tol:.3g}, "
+                   f"above the {config.converging_tol():.3g} a converging sweep needs")
     print(f"oscdmrg: not converged after {trace.size} sweeps: {missed}, "
           f"energy_tol {config.energy_tol:.3g}", file=sys.stderr)
     return EXIT_NO_CONVERGENCE

@@ -24,7 +24,7 @@ ends it start from random vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,6 +59,9 @@ __all__ = [
 _DEGENERACY_TOL = 1e-10
 _MAX_REFINE_CYCLES = 25
 _BASIS_DRIFT_TOL = 1e-12
+# Sweep solve tolerance: factor * |dE| of the last two sweeps, at most the cap.
+_SWEEP_TOL_FACTOR = 0.1
+_SWEEP_TOL_CAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,8 @@ class DmrgConfig:
 
     kept_states is the block and site basis size n; feed_size is the number
     of bare states fed per refinement step (0 disables the optimized-basis
-    refinement regardless of ``optimized``).
+    refinement regardless of ``optimized``). eig_tol is the solve tolerance
+    of warmup and of the measurement pass, and the floor of sweep solves.
     """
 
     kept_states: int
@@ -107,6 +111,11 @@ class DmrgConfig:
         if self.target_weights is None:
             return np.full(self.n_targets, 1.0 / self.n_targets)
         return np.asarray(self.target_weights, dtype=float)
+
+    def converging_tol(self) -> float:
+        """Loosest solve tolerance of a sweep that may declare convergence: its
+        energy error, (tol |E|)^2 over the gap, is then far below energy_tol."""
+        return max(10 * self.energy_tol, self.eig_tol)
 
 
 @dataclass
@@ -175,7 +184,7 @@ class DmrgResult:
     central block (the truncation density matrix, whose rank is capped by
     n times the number of targets), both descending.
     ``sweep_energy_trace`` records the best ground energy seen in each
-    sweep.
+    sweep, and ``sweep_tolerances`` the solve tolerance that sweep ran at.
     """
 
     energies: np.ndarray
@@ -187,6 +196,7 @@ class DmrgResult:
     converged: bool
     central_site_lambdas: np.ndarray
     central_block_lambdas: np.ndarray
+    sweep_tolerances: np.ndarray
 
 
 def site_operators(site: SiteBasis, hbar_tilde: float) -> SiteOperators:
@@ -498,6 +508,12 @@ def optimize_site_basis(
     return new_basis, record
 
 
+def _sweep_tolerance(trace: list[float], eig_tol: float) -> float:
+    """Solve tolerance of the next sweep, given the sweep energies so far."""
+    de = abs(trace[-1] - trace[-2]) if len(trace) >= 2 else math.inf
+    return max(min(_SWEEP_TOL_FACTOR * de, _SWEEP_TOL_CAP), eig_tol)
+
+
 def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
     """Warmup, finite-system sweeps, and a final measurement pass.
 
@@ -507,6 +523,9 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
     ``energy_tol`` or ``n_sweeps`` is exhausted (``converged`` records
     which); a final left-to-right pass collects per-site entropies, the
     central-site spectrum, and the reported energies at the central site.
+    Warmup and that pass solve to ``eig_tol``; sweeps 1 and 2 to 1e-6, later
+    ones to 0.1 |dE| of the two sweeps before, clipped to [eig_tol, 1e-6]. Only
+    a sweep at ``config.converging_tol()`` or tighter may declare convergence.
     """
     n_sites = spec.n_sites
     if n_sites < 3:
@@ -523,15 +542,15 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
     left: dict[int, Block] = {0: Block.empty()}
     right: dict[int, Block] = {0: Block.empty()}
 
-    def solve_at(p: int, guess: np.ndarray | None):
-        """Solve (and refine, in optimized mode) at free site p (0-based),
-        warm-started from ``guess`` when given.
+    def solve_at(p: int, guess: np.ndarray | None, tol: float = config.eig_tol):
+        """Solve (and refine, in optimized mode) at free site p (0-based)
+        to ``tol``, warm-started from ``guess`` when given.
 
         Returns (eig, psi in the final n-dim site basis, ground-state site
         entropy, averaged site spectrum descending)."""
         new_basis, rec, eig, psi, v_keep = _refine_site_basis(
-            spec, config, left[p], right[n_sites - p - 1], bases[p],
-            position=p + 1, guess=guess,
+            spec, replace(config, eig_tol=tol), left[p], right[n_sites - p - 1],
+            bases[p], position=p + 1, guess=guess,
         )
         bases[p] = new_basis
         if optimizing:
@@ -599,14 +618,17 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
 
     # Finite-system sweeps.
     sweep_trace: list[float] = []
-    prev_best = None
+    sweep_tols: list[float] = []
+    prev_best = math.inf
     converged = False
     start = length
     guess = None
     for _sweep in range(config.n_sweeps):
+        tol = _sweep_tolerance(sweep_trace, config.eig_tol)
+        sweep_tols.append(tol)
         best = math.inf
         for p in range(start, n_sites):
-            eig, psi_fin, _s, _lams = solve_at(p, guess)
+            eig, psi_fin, _s, _lams = solve_at(p, guess, tol)
             best = min(best, eig.values[0])
             if p < n_sites - 1:
                 guess = step(p, psi_fin, rightward=True)
@@ -614,7 +636,7 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
         # leftward half-sweep solves against it.
         guess = step(n_sites - 1, psi_fin, rightward=False)
         for p in range(n_sites - 2, -1, -1):
-            eig, psi_fin, _s, _lams = solve_at(p, guess)
+            eig, psi_fin, _s, _lams = solve_at(p, guess, tol)
             best = min(best, eig.values[0])
             if p > 0:
                 guess = step(p, psi_fin, rightward=False)
@@ -622,7 +644,7 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
         # the same superblock.
         guess = psi_fin
         sweep_trace.append(best)
-        if prev_best is not None and abs(prev_best - best) < config.energy_tol:
+        if abs(prev_best - best) < config.energy_tol and tol <= config.converging_tol():
             converged = True
             break
         prev_best = best
@@ -658,4 +680,5 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
         converged=converged,
         central_site_lambdas=central_lams,
         central_block_lambdas=central_block_lams,
+        sweep_tolerances=np.array(sweep_tols),
     )

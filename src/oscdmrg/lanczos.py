@@ -106,8 +106,7 @@ def lowest_k(
         # Saturate the Krylov space outright: with full reorthogonalization
         # the basis would reach the whole space anyway at this size, and one
         # batched application is far cheaper than iterating toward it.
-        ident = np.eye(dim)
-        t_mat = ident.T @ apply(ident)
+        t_mat = apply(np.eye(dim))
         t_mat = 0.5 * (t_mat + t_mat.T)
         vals, vecs = np.linalg.eigh(t_mat)
         lam = vals[:k].copy()

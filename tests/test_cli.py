@@ -193,6 +193,28 @@ def test_dmrg_non_convergence_names_the_tolerance(capsys):
     assert delta > 1e-8
     assert f"|dE| {delta:.3g}" in err
     assert "energy_tol 1e-08" in err
+    assert "solved to tolerance" not in err
+
+
+def test_dmrg_non_convergence_names_a_loose_sweep_tolerance(capsys, monkeypatch):
+    # |dE| meets energy_tol, but every sweep solved to 1e-6, above the 1e-7
+    # (10 energy_tol) a sweep needs to declare convergence
+    import oscdmrg.dmrg as dmrg_mod
+
+    monkeypatch.setattr(dmrg_mod, "_sweep_tolerance", lambda trace, eig_tol: 1e-6)
+    args = ["dmrg", "--N", "6", "--m", "8", "--n", "4", "--basis-mode", "bare"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    _, rows = parse_csv(out)
+    assert {r["quantity"]: r["value"] for r in rows}["converged"] == "false"
+    trace = oscdmrg.run_dmrg(
+        oscdmrg.ChainSpec(6, 1.0, 8), oscdmrg.DmrgConfig(kept_states=4, optimized=False)
+    ).sweep_energy_trace
+    delta = abs(trace[-1] - trace[-2])
+    assert delta < 1e-8
+    assert f"|dE| {delta:.3g} met energy_tol" in err
+    assert "solved to tolerance 1e-06, above the 1e-07" in err
+    assert "energy_tol 1e-08" in err
 
 
 def test_scan_basis_schema_and_determinism(tmp_path, capsys):

@@ -279,6 +279,85 @@ def test_run_dmrg_sweep_trace_monotone():
     assert np.all(np.diff(trace) <= 1e-9)
 
 
+def test_sweep_solves_follow_the_tolerance_schedule(monkeypatch):
+    # warmup and the measurement pass solve to eig_tol, each sweep to its own
+    # entry of sweep_tolerances. Bare mode makes one solve per site visit:
+    # four warmup solves grow the left block to sites 1..5, the first sweep visits
+    # sites 6..10 and back to 1, later sweeps 1..10 and back, and the
+    # measurement pass 1..10.
+    import oscdmrg.dmrg as dmrg_mod
+
+    spec = ChainSpec(10, 1.0, 10)
+    cfg = DmrgConfig(kept_states=8, optimized=False)
+    lowest_k = dmrg_mod.lowest_k
+    tols = []
+
+    def recorded(*args, tol, **kwargs):
+        tols.append(tol)
+        return lowest_k(*args, tol=tol, **kwargs)
+
+    monkeypatch.setattr(dmrg_mod, "lowest_k", recorded)
+    result = run_dmrg(spec, cfg)
+    sweep_tols = result.sweep_tolerances
+    assert sweep_tols.shape == result.sweep_energy_trace.shape
+    assert sweep_tols.size >= 3
+    visits = [14] + [19] * (sweep_tols.size - 1)
+    expected = [cfg.eig_tol] * 4
+    for tol, count in zip(sweep_tols, visits):
+        expected += [tol] * count
+    expected += [cfg.eig_tol] * spec.n_sites
+    assert tols == expected
+
+    trace = result.sweep_energy_trace
+    assert list(sweep_tols[:2]) == [1e-6, 1e-6]
+    for s in range(2, sweep_tols.size):
+        de = abs(trace[s - 1] - trace[s - 2])
+        assert sweep_tols[s] == max(min(0.1 * de, 1e-6), cfg.eig_tol)
+    assert np.all((sweep_tols >= cfg.eig_tol) & (sweep_tols <= 1e-6))
+    assert sweep_tols[-1] < 1e-6  # the schedule did tighten
+    # never tighter than eig_tol, also where eig_tol is above the 1e-6 cap
+    assert dmrg_mod._sweep_tolerance([2.0, 1.0], 1e-5) == 1e-5
+    assert dmrg_mod._sweep_tolerance([1.0, 1.0], 1e-12) == 1e-12
+
+
+def test_a_loose_sweep_cannot_declare_convergence(monkeypatch):
+    # with every sweep at 1e-6, above converging_tol() = 10 energy_tol, the
+    # sweep-to-sweep |dE| falls below energy_tol but no sweep may declare
+    import oscdmrg.dmrg as dmrg_mod
+
+    spec = ChainSpec(6, 1.0, 8)
+    cfg = DmrgConfig(kept_states=4, optimized=False)
+    real = run_dmrg(spec, cfg)
+    assert real.converged
+    assert real.sweep_tolerances[-1] <= cfg.converging_tol() == 1e-7
+
+    monkeypatch.setattr(dmrg_mod, "_sweep_tolerance", lambda trace, eig_tol: 1e-6)
+    loose = run_dmrg(spec, cfg)
+    assert not loose.converged
+    trace = loose.sweep_energy_trace
+    assert trace.size == cfg.n_sweeps
+    assert abs(trace[-1] - trace[-2]) < cfg.energy_tol
+    np.testing.assert_array_equal(loose.sweep_tolerances, np.full(cfg.n_sweeps, 1e-6))
+
+
+def test_sweep_tolerance_schedule_keeps_converged_answers(monkeypatch):
+    # the schedule against every sweep solve at eig_tol, on a configuration
+    # that converges either way
+    import oscdmrg.dmrg as dmrg_mod
+
+    spec = ChainSpec(10, 1.0, 14)
+    cfg = DmrgConfig(10, 4, n_sweeps=20)
+    scheduled = run_dmrg(spec, cfg)
+    monkeypatch.setattr(dmrg_mod, "_sweep_tolerance", lambda trace, eig_tol: eig_tol)
+    tight = run_dmrg(spec, cfg)
+    assert scheduled.converged and tight.converged
+    assert scheduled.sweep_energy_trace.size == tight.sweep_energy_trace.size
+    assert np.any(scheduled.sweep_tolerances > cfg.eig_tol)
+    np.testing.assert_array_equal(tight.sweep_tolerances, cfg.eig_tol)
+    np.testing.assert_allclose(scheduled.energies, tight.energies, rtol=1e-10, atol=0)
+    assert abs(scheduled.entanglement_SE - tight.entanglement_SE) <= 1e-8
+
+
 def test_run_dmrg_records_and_entropies():
     spec = ChainSpec(5, 1.0, 8)
     result = run_dmrg(
