@@ -103,6 +103,13 @@ class FullHamiltonian:
         return self.matvec_block(v[:, None]).ravel()
 
     def matvec_block(self, vblock: np.ndarray) -> np.ndarray:
+        """H @ vblock for a (dim, k) block, as a (dim, k) array.
+
+        The matrix-free path computes on rows, one state per row, and
+        returns the transpose of its C-contiguous (k, dim) result (an
+        F-ordered array). So a block of stored rows, ``rows.T``, goes in and
+        out without a copy; a column-stored block is copied once.
+        """
         vblock = np.asarray(vblock, dtype=float)
         if vblock.ndim != 2 or vblock.shape[0] != self.dim:
             raise ValueError(f"expected shape ({self.dim}, k), got {vblock.shape}")
@@ -110,20 +117,21 @@ class FullHamiltonian:
             return self._dense @ vblock
         n, m = self.n_sites, self.site_dim
         # Every bond below is a reshape view, which needs contiguous rows.
-        vblock = np.ascontiguousarray(vblock)
-        out = self._diag[:, None] * vblock
+        rows = np.ascontiguousarray(vblock.T)
+        out = rows * self._diag
         for i in range(n - 1):
-            # Bond (i, i+1) acts on the middle axis of (left, pair, r).
-            r = m ** (n - i - 2) * vblock.shape[1]
+            # Bond (i, i+1) acts on the middle axis of (k left, pair, r).
+            r = m ** (n - i - 2)
+            left = rows.shape[0] * m**i
             if r > 2:
-                out.reshape(m**i, m * m, r)[...] += np.matmul(
-                    self._gxx, vblock.reshape(m**i, m * m, r))
+                out.reshape(left, m * m, r)[...] += np.matmul(
+                    self._gxx, rows.reshape(left, m * m, r))
             else:
                 # Here the batch's tiny GEMMs cost more than the r-fold
                 # flops of one GEMM by gxx (x) 1_r (measured, m = 2..14).
-                out.reshape(m**i, -1)[...] += (
-                    vblock.reshape(m**i, -1) @ np.kron(self._gxx.T, np.eye(r)))
-        return out
+                out.reshape(left, -1)[...] += (
+                    rows.reshape(left, -1) @ np.kron(self._gxx.T, np.eye(r)))
+        return out.T
 
     def dense(self) -> np.ndarray:
         if self._dense is not None:

@@ -4,15 +4,16 @@
 matrices and small Hamiltonians. ``lowest_k`` needs only the operator's
 action on a block of vectors, for superblock and exact diagonalizations
 where the operator is never materialized. Above ``_DENSE_CUTOFF`` it is a
-thick-restart block Lanczos: a step applies the operator to the newest
-block, projects the result first on the columns it can reach (the previous
-block and itself; after a thick restart, every kept Ritz vector) and then
-once on the whole basis, adds both projections into the projected matrix,
-and splits off the next block by an SVD (a norm, for one column).
-Full reorthogonalization keeps ghost eigenvalues out of the density-matrix
-spectra downstream. Every few steps the Ritz residuals are read off the
-projected matrix; once they pass, the operator is applied to the Ritz
-vectors, so the returned residuals are the true ``||H v - lambda v||``.
+thick-restart block Lanczos on a basis stored one vector per row. A step
+applies the operator to the newest block (as ``rows.T``), projects the
+result first on the rows it can reach (the previous block and itself;
+after a thick restart, every kept Ritz vector) and then once on the whole
+basis, adds both projections into the projected matrix, and splits off the
+next block by an SVD (a norm, for one row). Full reorthogonalization keeps
+ghost eigenvalues out of the density-matrix spectra downstream. Every few
+steps the Ritz residuals are read off the projected matrix; once they
+pass, the operator is applied to the Ritz vectors, so the returned
+residuals are the true ``||H v - lambda v||``.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ _DENSE_CUTOFF = 128
 # Lanczos steps between Rayleigh-Ritz convergence checks (a restart also
 # checks, and so does the first step, for warm starts).
 _CHECK_EVERY = 5
-# Rows a thick restart rotates at a time, which bounds its temporary.
-_RESTART_ROWS = 4096
+# Basis columns a thick restart rotates at a time, bounding its temporary.
+_RESTART_COLS = 4096
 
 
 @dataclass(frozen=True)
@@ -124,44 +125,43 @@ def lowest_k(
     # Thick-restart block Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl.
     # 22, 602 (2000)) with block size k. Every applied block is projected on
     # the whole basis, so t_mat is exactly Q^T H Q, also across restarts.
+    # Q is stored one vector per row, so every block of it is contiguous.
     width = min(dim, max(6 * k + 10, 24))
     keep = min(width - k, max(2 * k, width // 2))
-    q_basis = np.empty((dim, width))
+    q_rows = np.empty((width, dim))
     t_mat = np.zeros((width, width))
-    q_basis[:, :k] = rng.standard_normal((dim, k))
+    q_rows[:k] = rng.standard_normal((dim, k)).T
     if v0 is not None:
         v0 = np.asarray(v0, dtype=float).reshape(dim, -1)[:, :k]
-        q_basis[:, : v0.shape[1]] = v0
-    block = np.linalg.qr(q_basis[:, :k])[0]
-    q_basis[:, :k] = block
+        q_rows[: v0.shape[1]] = v0.T
+    q_rows[:k] = np.linalg.qr(q_rows[:k].T)[0].T
     wlo, lo, p = 0, 0, k
     matvecs = steps = 0
     checked = 1 - _CHECK_EVERY
     while True:
-        # The newest block, contiguous: a column slice of q_basis is strided
-        # and slows the caller's matvec severalfold.
-        w = apply(block)
+        # rows.T reaches a row-major matvec without a copy; w is H q as rows.
+        w = np.ascontiguousarray(apply(q_rows[p - k:p].T).T)
         matvecs += k
         steps += 1
-        basis = q_basis[:, :p]
-        near = q_basis[:, wlo:p]
-        near_coef = near.T @ w
-        w -= near @ near_coef
-        coef = basis.T @ w
-        w -= basis @ coef
+        basis = q_rows[:p]
+        near = q_rows[wlo:p]
+        near_coef = near @ w.T
+        w -= near_coef.T @ near
+        coef = basis @ w.T
+        w -= coef.T @ basis
         coef[wlo:] += near_coef
         t_mat[:p, lo:p] = coef
         t_mat[lo:p, :p] = coef.T
         # An SVD rather than a QR, because it shows when w loses rank.
-        # w = block @ beta couples the next block to this one. The SVD of a
-        # single column is its norm.
+        # w = beta^T @ block couples the next block to this one. The SVD of
+        # a single row is its norm.
         if k == 1:
-            sig, vt = np.linalg.norm(w, axis=0), np.ones((1, 1))
-            block = w / (sig[0] or 1.0)
+            sig = np.linalg.norm(w, axis=1)
+            block, beta = w / (sig[0] or 1.0), sig[:, None]
         else:
-            block, sig, vt = np.linalg.svd(w, full_matrices=False)
+            block, sig, vt = np.linalg.svd(w.T, full_matrices=False)
+            block, beta = block.T, sig[:, None] * vt
         del w  # so that it is not held through the next product
-        beta = sig[:, None] * vt
         full = p + k > width
         if full or matvecs >= max_iter or steps - checked >= _CHECK_EVERY:
             checked = steps
@@ -171,7 +171,7 @@ def lowest_k(
             # ||H x - lam x|| of the Ritz pairs, read off the projection.
             rnorm = np.linalg.norm(beta @ s_mat[lo:p, :k], axis=0)
             if np.all(rnorm <= bound):
-                x_vecs = basis @ s_mat[:, :k]
+                x_vecs = (s_mat[:, :k].T @ basis).T
                 resid = apply(x_vecs)
                 resid -= x_vecs * lam
                 rnorm = np.linalg.norm(resid, axis=0)
@@ -188,9 +188,9 @@ def lowest_k(
             if full:
                 # Thick restart: the leading Ritz vectors, on which the
                 # projected operator is diagonal, then the residual block.
-                for rows in range(0, dim, _RESTART_ROWS):
-                    chunk = q_basis[rows:rows + _RESTART_ROWS]
-                    chunk[:, :keep] = chunk[:, :p] @ s_mat[:, :keep]
+                for cols in range(0, dim, _RESTART_COLS):
+                    chunk = q_rows[:, cols:cols + _RESTART_COLS]
+                    chunk[:keep] = s_mat[:, :keep].T @ chunk[:p]
                 t_mat[:keep, :keep] = np.diag(vals[:keep])
                 p, lo = keep, 0
         # Directions this far below the largest are mostly rounding and not
@@ -199,12 +199,12 @@ def lowest_k(
         lost = sig <= 1e-8 * sig[0]
         if lost.any():
             fresh = rng.standard_normal((dim, int(lost.sum())))
-            spanned = np.hstack([q_basis[:, :p], block[:, ~lost]])
+            spanned = np.vstack([q_rows[:p], block[~lost]])
             for _ in range(2):
-                fresh -= spanned @ (spanned.T @ fresh)
-            block[:, lost] = np.linalg.qr(fresh)[0]
+                fresh -= spanned.T @ (spanned @ fresh)
+            block[lost] = np.linalg.qr(fresh)[0].T
             lo = 0
-        q_basis[:, p:p + k] = block
-        # The next product reaches back to column wlo: the previous block, or
+        q_rows[p:p + k] = block
+        # The next product reaches back to row wlo: the previous block, or
         # after a restart or a replacement (lo = 0) the whole basis.
         wlo, lo, p = lo, p, p + k

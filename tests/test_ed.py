@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ def test_hamiltonian_symmetric_and_paths_agree():
 @st.composite
 def _matvec_problems(draw):
     """A chain of at most 1024 states and a block of 1-3 columns, so that
-    bonds with r = m^(N-i-2) * nb of at most 2 and above 2 both occur."""
+    bonds with r = m^(N-i-2) of at most 2 and above 2 both occur."""
     m = draw(st.integers(2, 5))
     n_sites = draw(st.integers(2, {2: 6, 3: 6, 4: 5, 5: 4}[m]))
     hbar = draw(st.floats(0.5, 2.0))
@@ -82,12 +83,38 @@ def test_matrix_free_matvec_equals_dense_assembly(problem):
     spec, nb, seed = problem
     ham = build_full_hamiltonian(spec, force_matrix_free=True)
     h = build_full_hamiltonian(spec).dense()  # ham.dense() would cache it on ham
-    q = np.random.default_rng(seed).standard_normal((ham.dim, nb + 2))
-    block = q[:, 1:1 + nb]  # a strided column slice, as of a Krylov basis
-    out = ham.matvec_block(block)
-    np.testing.assert_allclose(out, h @ block, rtol=0, atol=1e-11)
-    np.testing.assert_array_equal(out, ham.matvec_block(block.copy()))
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((ham.dim, nb + 2))
+    rows = rng.standard_normal((nb + 2, ham.dim))
+    # A strided column slice, as of a column-stored Krylov basis, and a
+    # block of stored rows (F-ordered), as lowest_k hands over.
+    col_block, row_block = q[:, 1:1 + nb], rows[1:1 + nb].T
+    for block in (col_block, row_block):
+        out = ham.matvec_block(block)
+        assert out.shape == block.shape
+        np.testing.assert_allclose(out, h @ block, rtol=0, atol=1e-11)
+    np.testing.assert_array_equal(ham.matvec_block(col_block),
+                                  ham.matvec_block(col_block.copy()))
+    np.testing.assert_allclose(ham.matvec_block(row_block),
+                               ham.matvec_block(np.ascontiguousarray(row_block)),
+                               rtol=0, atol=1e-14)
     np.testing.assert_allclose(ham.matvec(q[:, 0]), h @ q[:, 0], rtol=0, atol=1e-11)
+
+
+def test_ed_solve_peak_memory():
+    # The matrix-free solve at 78125 states holds its 24-row Krylov basis
+    # (14.3 MiB) and a few 2-row blocks (1.2 MiB each) around each product.
+    # A matvec that copies the row-stored block it is handed measures
+    # 20.9 MiB. A smaller matrix-free solve runs first, so that one-time
+    # allocations do not count.
+    ed_lowest(ChainSpec(6, 1.0, 5), 2, seed=721)
+    tracemalloc.start()
+    try:
+        ed_lowest(ChainSpec(7, 1.0, 5), 2, seed=721)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 19.8, f"ED solve peak {peak:.2f} MiB exceeds 19.8 MiB"
 
 
 def test_resource_guards():

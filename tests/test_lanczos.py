@@ -163,6 +163,27 @@ def test_lowest_k_windowed_projection(case, k):
     assert np.all(resid <= tol * np.maximum(1.0, np.abs(res.values)))
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_lowest_k_restart_window_on_shifted_spectrum(k):
+    # A shift of 1e6 makes every vector almost an eigenvector: each product
+    # is 1e6 times the block it came from plus a remainder of order 10. So
+    # the residual block a thick restart keeps must be in the first
+    # projection after the restart, with the kept Ritz vectors; a single
+    # pass would leave rounding of order 1e-16 * 1e6 / 10 in the next block
+    # and the basis would lose orthogonality at about 1e-11.
+    dim, tol = 400, 1e-12
+    rng = np.random.default_rng(3)
+    vals = np.sort(rng.uniform(-10.0, 10.0, dim)) + 1e6
+    vecs = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    mat = (vecs * vals) @ vecs.T
+    res = lowest_k(lambda v: mat @ v, dim, k, tol=tol, seed=3)
+    assert res.iterations > 100  # several thick restarts (width 24 or 28)
+    np.testing.assert_allclose(res.values, vals[:k], rtol=0, atol=1e-7)
+    np.testing.assert_allclose(res.vectors.T @ res.vectors, np.eye(k), rtol=0, atol=1e-13)
+    resid = np.linalg.norm(mat @ res.vectors - res.vectors * res.values, axis=0)
+    assert np.all(resid <= tol * np.abs(res.values))
+
+
 @st.composite
 def _eigenproblems(draw):
     """A symmetric matrix with known spectrum, a k and an optional start.
