@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec, first_gap, ground_energy_closed, mode_spectrum, spectrum
-from .dmrg import DmrgConfig, run_dmrg
+from .dmrg import CONVERGING_TOL, ENERGY_TOL, DmrgConfig, run_dmrg
 from .ed import ed_lowest
 from .errors import ConvergenceError, ResourceLimitError
 
@@ -228,8 +228,7 @@ def _cmd_ed(cfg: RunConfig) -> int:
 
 def _cmd_dmrg(cfg: RunConfig) -> int:
     spec = cfg.chain_spec()
-    config = cfg.dmrg_config()
-    result = run_dmrg(spec, config)
+    result = run_dmrg(spec, cfg.dmrg_config())
     rows = [
         {"quantity": f"energy_{i}", "value": float(e)}
         for i, e in enumerate(result.energies)
@@ -245,11 +244,11 @@ def _cmd_dmrg(cfg: RunConfig) -> int:
     trace, tol = result.sweep_energy_trace, result.sweep_tolerances[-1]
     missed = (f"last sweep-to-sweep |dE| {abs(trace[-1] - trace[-2]):.3g}"
               if trace.size >= 2 else "no sweep-to-sweep |dE| after one sweep")
-    if trace.size >= 2 and abs(trace[-1] - trace[-2]) < config.energy_tol:
+    if trace.size >= 2 and abs(trace[-1] - trace[-2]) < ENERGY_TOL:
         missed += (f" met energy_tol, but that sweep solved to tolerance {tol:.3g}, "
-                   f"above the {config.converging_tol():.3g} a converging sweep needs")
+                   f"above the {CONVERGING_TOL:.3g} a converging sweep needs")
     print(f"oscdmrg: not converged after {trace.size} sweeps: {missed}, "
-          f"energy_tol {config.energy_tol:.3g}", file=sys.stderr)
+          f"energy_tol {ENERGY_TOL:.3g}", file=sys.stderr)
     return EXIT_NO_CONVERGENCE
 
 

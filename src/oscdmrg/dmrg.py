@@ -24,7 +24,7 @@ ends it start from random vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,6 +59,16 @@ __all__ = [
 _DEGENERACY_TOL = 1e-10
 _MAX_REFINE_CYCLES = 25
 _BASIS_DRIFT_TOL = 1e-12
+# Solve tolerance of warmup and of the measurement pass, and the floor of
+# sweep solves.
+EIG_TOL = 1e-10
+# Sweep-to-sweep change of the best ground energy that ends the sweeps.
+ENERGY_TOL = 1e-8
+# Loosest solve tolerance of a sweep that may declare convergence: its energy
+# error, (tol |E|)^2 over the gap, is then far below ENERGY_TOL.
+CONVERGING_TOL = 1e-7
+# Ground-energy change over a feed cycle that ends a refinement visit.
+_BASIS_TOL = 1e-9
 # Sweep solve tolerance: factor * |dE| of the last two sweeps, at most the cap.
 _SWEEP_TOL_FACTOR = 0.1
 _SWEEP_TOL_CAP = 1e-6
@@ -69,53 +79,23 @@ class DmrgConfig:
     """Run controls.
 
     kept_states is the block and site basis size n; feed_size is the number
-    of bare states fed per refinement step (0 disables the optimized-basis
-    refinement regardless of ``optimized``). eig_tol is the solve tolerance
-    of warmup and of the measurement pass, and the floor of sweep solves.
+    of bare states fed per refinement step of an optimized basis; every
+    density matrix averages the n_targets lowest states with equal weights.
+    ``optimized=False`` keeps every site in the bare basis (the lowest n
+    number states). ``seed`` seeds the solver's random start vectors.
     """
 
     kept_states: int
     feed_size: int = 4
     n_targets: int = 1
-    target_weights: tuple[float, ...] | None = None
     n_sweeps: int = 6
-    eig_tol: float = 1e-10
-    eig_max_iter: int = 2000
-    basis_tol: float = 1e-9
-    energy_tol: float = 1e-8
     optimized: bool = True
     seed: int = 0
 
     def __post_init__(self):
-        if self.kept_states < 1:
-            raise ValueError("kept_states must be >= 1")
-        if self.feed_size < 0:
-            raise ValueError("feed_size must be >= 0")
-        if self.n_targets < 1:
-            raise ValueError("n_targets must be >= 1")
-        if self.target_weights is not None:
-            w = np.asarray(self.target_weights, dtype=float)
-            if w.size != self.n_targets:
-                raise ValueError("target_weights length must equal n_targets")
-            if np.any(w <= 0):
-                raise ValueError("target_weights must be positive")
-            if abs(w.sum() - 1.0) > 1e-12:
-                raise ValueError("target_weights must sum to 1 within 1e-12")
-        if self.n_sweeps < 1:
-            raise ValueError("n_sweeps must be >= 1")
-        for name in ("eig_tol", "basis_tol", "energy_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
-
-    def weights(self) -> np.ndarray:
-        if self.target_weights is None:
-            return np.full(self.n_targets, 1.0 / self.n_targets)
-        return np.asarray(self.target_weights, dtype=float)
-
-    def converging_tol(self) -> float:
-        """Loosest solve tolerance of a sweep that may declare convergence: its
-        energy error, (tol |E|)^2 over the gap, is then far below energy_tol."""
-        return max(10 * self.energy_tol, self.eig_tol)
+        for name in ("kept_states", "feed_size", "n_targets", "n_sweeps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -319,52 +299,38 @@ def superblock_solve(
     site_ops: SiteOperators,
     right: Block,
     config: DmrgConfig,
-    k: int | None = None,
+    tol: float = EIG_TOL,
     v0: np.ndarray | None = None,
 ) -> tuple[EigResult, np.ndarray]:
-    """Lowest eigenpairs of the L-site-R Hamiltonian, matrix-free.
+    """Lowest eigenpairs of the L-site-R Hamiltonian, matrix-free, to ``tol``.
 
     Returns the EigResult and the wavefunction tensor of shape
-    (dim_L, dim_site, dim_R, k). k defaults to the configured number of
-    targeted states, clamped to the superblock dimension.
+    (dim_L, dim_site, dim_R, k), k the configured number of targeted
+    states clamped to the superblock dimension.
     """
     dim = left.basis_dim * site_ops.dim * right.basis_dim
-    if k is None:
-        k = config.n_targets
-    k = min(k, dim)
+    k = min(config.n_targets, dim)
     apply, (dl, ds, dr) = _superblock_matvec(left, site_ops, right, k)
-    res = lowest_k(
-        apply,
-        dim,
-        k,
-        tol=config.eig_tol,
-        max_iter=config.eig_max_iter,
-        seed=config.seed,
-        v0=v0,
-    )
+    res = lowest_k(apply, dim, k, tol=tol, seed=config.seed, v0=v0)
     psi = res.vectors.reshape(dl, ds, dr, k)
     return res, psi
 
 
-def _target_weights_for(config: DmrgConfig, k: int) -> np.ndarray:
-    w = config.weights()[:k]
-    return w / w.sum()
-
-
-def _weighted_factor(psi: np.ndarray, weights: np.ndarray, axes: tuple) -> np.ndarray:
+def _weighted_factor(psi: np.ndarray, axes: tuple) -> np.ndarray:
     """M with M @ M.T the target-averaged reduced density matrix of the
     superblock legs ``axes`` of psi (shape (dim_L, dim_site, dim_R, k)),
-    joined in that index order: the weighted targets side by side, with
-    the other legs in the columns."""
+    joined in that index order: the equally weighted targets side by side,
+    with the other legs in the columns."""
     rest = tuple(a for a in range(3) if a not in axes)
     dim = math.prod(psi.shape[a] for a in axes)
-    return (psi * np.sqrt(weights)).transpose(axes + rest + (3,)).reshape(dim, -1)
+    weight = np.sqrt(1.0 / psi.shape[3])
+    return (psi * weight).transpose(axes + rest + (3,)).reshape(dim, -1)
 
 
-def _averaged_rdm(psi: np.ndarray, weights: np.ndarray, axes: tuple) -> np.ndarray:
+def _averaged_rdm(psi: np.ndarray, axes: tuple) -> np.ndarray:
     """Target-averaged reduced density matrix of the superblock legs
     ``axes`` of psi; the other legs are traced out."""
-    m = _weighted_factor(psi, weights, axes)
+    m = _weighted_factor(psi, axes)
     return m @ m.T
 
 
@@ -394,6 +360,7 @@ def _refine_site_basis(
     right: Block,
     basis: SiteBasis,
     position: int,
+    tol: float = EIG_TOL,
     max_cycles: int | None = None,
     guess: np.ndarray | None = None,
 ):
@@ -405,15 +372,15 @@ def _refine_site_basis(
     orthogonalized against the current basis and appended, the superblock
     is solved for the targeted states, and the n dominant eigenvectors of
     the averaged site density matrix become the new basis.
-    Stops when the ground energy changes by less than ``basis_tol`` over a
-    full cycle, or when a cycle leaves the kept subspace unchanged. A solve
+    Stops when the ground energy changes by less than 1e-9 over a full
+    cycle, or when a cycle leaves the kept subspace unchanged. A solve
     whose augmented basis spans all m bare states (n + feed_size >= m) ends
     the visit: its site is untruncated, so its n dominant states are exactly
-    the fixed point; later groups would re-solve it or a strict subspace. In bare
-    mode (``optimized`` off or ``feed_size`` 0) the loop runs one empty
-    group: a single solve in the given basis, which is kept as it is.
-    ``guess`` (dim_L, kept_dim, dim_R, k), a wavefunction in the given
-    basis, warm-starts the first solve; later solves start from the
+    the fixed point; later groups would re-solve it or a strict subspace. In
+    bare mode (``optimized`` off) the loop runs one empty group: a single
+    solve in the given basis, which is kept as it is. Every solve runs to
+    ``tol``. ``guess`` (dim_L, kept_dim, dim_R, k), a wavefunction in the
+    given basis, warm-starts the first solve; later solves start from the
     previous one.
 
     Returns (basis, last record, last EigResult, last psi tensor, last
@@ -457,14 +424,13 @@ def _refine_site_basis(
                 guess = np.tensordot(prev_psi_bare, b_aug, axes=(1, 0))
                 v0 = guess.transpose(0, 3, 1, 2).reshape(-1, guess.shape[2])
             try:
-                eig, psi = superblock_solve(left, ops, right, config, v0=v0)
+                eig, psi = superblock_solve(left, ops, right, config, tol, v0)
             except ConvergenceError as err:
                 raise ConvergenceError(
                     f"superblock solve failed at site {position}: {err}",
                     residual_norms=err.residual_norms,
                 ) from err
-            weights = _target_weights_for(config, psi.shape[3])
-            site_eig = dense_sym_eig(_averaged_rdm(psi, weights, (1,)))
+            site_eig = dense_sym_eig(_averaged_rdm(psi, (1,)))
             v_dom, record = _dominant_states(
                 site_eig.values[::-1], site_eig.vectors[:, ::-1], n, position, "site"
             )
@@ -477,7 +443,7 @@ def _refine_site_basis(
         energy = eig.values[0]
         if not fed_any or full_space:
             break
-        if prev_energy is not None and abs(energy - prev_energy) < config.basis_tol:
+        if prev_energy is not None and abs(energy - prev_energy) < _BASIS_TOL:
             break
         drift = n - np.linalg.norm(cycle_start.T @ b_cur) ** 2
         if drift < _BASIS_DRIFT_TOL:
@@ -500,7 +466,7 @@ def optimize_site_basis(
     Returns the final basis and the truncation record of the last
     refinement step (full averaged-density-matrix spectrum, descending).
     ``max_cycles`` caps the number of feed cycles (mainly for inspecting
-    per-cycle behavior; the default runs to the ``basis_tol`` criterion).
+    per-cycle behavior; the default runs to the feed loop's own stop rules).
     """
     new_basis, record, _eig, _psi, _vk = _refine_site_basis(
         spec, config, left, right, current, position, max_cycles=max_cycles
@@ -508,10 +474,10 @@ def optimize_site_basis(
     return new_basis, record
 
 
-def _sweep_tolerance(trace: list[float], eig_tol: float) -> float:
+def _sweep_tolerance(trace: list[float]) -> float:
     """Solve tolerance of the next sweep, given the sweep energies so far."""
     de = abs(trace[-1] - trace[-2]) if len(trace) >= 2 else math.inf
-    return max(min(_SWEEP_TOL_FACTOR * de, _SWEEP_TOL_CAP), eig_tol)
+    return max(min(_SWEEP_TOL_FACTOR * de, _SWEEP_TOL_CAP), EIG_TOL)
 
 
 def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
@@ -520,12 +486,12 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
     Warmup grows the left block one site at a time against its mirror
     image until the superblock spans the chain. Sweeps run right then left
     until the per-sweep best ground energy changes by less than
-    ``energy_tol`` or ``n_sweeps`` is exhausted (``converged`` records
+    ``ENERGY_TOL`` or ``n_sweeps`` is exhausted (``converged`` records
     which); a final left-to-right pass collects per-site entropies, the
     central-site spectrum, and the reported energies at the central site.
-    Warmup and that pass solve to ``eig_tol``; sweeps 1 and 2 to 1e-6, later
-    ones to 0.1 |dE| of the two sweeps before, clipped to [eig_tol, 1e-6]. Only
-    a sweep at ``config.converging_tol()`` or tighter may declare convergence.
+    Warmup and that pass solve to ``EIG_TOL``; sweeps 1 and 2 to 1e-6, later
+    ones to 0.1 |dE| of the two sweeps before, clipped to [EIG_TOL, 1e-6].
+    Only a sweep at ``CONVERGING_TOL`` or tighter may declare convergence.
     """
     n_sites = spec.n_sites
     if n_sites < 3:
@@ -535,33 +501,12 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
     if n > m:
         raise ValueError(f"kept_states {n} exceeds bare_dim {m}")
     hbar = spec.hbar_tilde
-    optimizing = config.optimized and config.feed_size > 0
 
     bases = [bare_site_basis(m, n) for _ in range(n_sites)]
     records: list[TruncationRecord] = []
     left: dict[int, Block] = {0: Block.empty()}
     right: dict[int, Block] = {0: Block.empty()}
-
-    def solve_at(p: int, guess: np.ndarray | None, tol: float = config.eig_tol):
-        """Solve (and refine, in optimized mode) at free site p (0-based)
-        to ``tol``, warm-started from ``guess`` when given.
-
-        Returns (eig, psi in the final n-dim site basis, ground-state site
-        entropy, averaged site spectrum descending)."""
-        new_basis, rec, eig, psi, v_keep = _refine_site_basis(
-            spec, replace(config, eig_tol=tol), left[p], right[n_sites - p - 1],
-            bases[p], position=p + 1, guess=guess,
-        )
-        bases[p] = new_basis
-        if optimizing:
-            records.append(rec)
-        psi_fin = np.tensordot(psi, v_keep, axes=(1, 0)).transpose(0, 3, 1, 2)
-        for j in range(psi_fin.shape[3]):
-            nrm = np.linalg.norm(psi_fin[..., j])
-            if nrm > 0:
-                psi_fin[..., j] /= nrm
-        s_site = von_neumann(_averaged_rdm(psi[..., :1], np.ones(1), (1,)))
-        return eig, psi_fin, s_site, rec.lambdas
+    guess = None
 
     def move(p: int, psi_fin: np.ndarray, rightward: bool) -> None:
         """Absorb site p into the block on its left (rightward) or right,
@@ -573,8 +518,7 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
             blocks, j, axes = right, n_sites - p - 1, (2, 1)
         enlarged = enlarge_block(blocks[j], bases[p], hbar)
         if enlarged.basis_dim > n:
-            weights = _target_weights_for(config, psi_fin.shape[3])
-            factor = _weighted_factor(psi_fin, weights, axes)
+            factor = _weighted_factor(psi_fin, axes)
             enlarged, rec = truncate_block(enlarged, factor, n, position=p + 1)
             records.append(rec)
         blocks[j + 1] = enlarged
@@ -597,8 +541,38 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
         if grown.rotation is not None:
             t = grown.rotation.T @ t
         w = np.eye(dr) if split.rotation is None else split.rotation
-        guess = np.tensordot(t.reshape(-1, dr, k), w.reshape(-1, n, dr), axes=(1, 2))
-        return guess.transpose(0, 3, 2, 1) if rightward else guess.transpose(2, 3, 0, 1)
+        moved = np.tensordot(t.reshape(-1, dr, k), w.reshape(-1, n, dr), axes=(1, 2))
+        return moved.transpose(0, 3, 2, 1) if rightward else moved.transpose(2, 3, 0, 1)
+
+    def visit(sites: list[int], tol: float, then: int | None = 0):
+        """Solve (and refine, in optimized mode) at each free site of
+        ``sites`` (0-based) in turn to ``tol``, warm-started from ``guess``.
+
+        Yields (p, eig, psi in the augmented site basis, psi_fin in the
+        final n-dim one with normalized columns, averaged site spectrum
+        descending). After each visit the state becomes the next ``guess``:
+        stepped toward the next site, or as it is when the next visit is the
+        same site. ``then`` is the first site of the pass after this one
+        (every pass after the first sweep starts at p = 0), or None when no
+        pass follows."""
+        nonlocal guess
+        for p, nxt in zip(sites, [*sites[1:], then]):
+            bases[p], rec, eig, psi, v_keep = _refine_site_basis(
+                spec, config, left[p], right[n_sites - p - 1], bases[p],
+                position=p + 1, tol=tol, guess=guess,
+            )
+            if config.optimized:
+                records.append(rec)
+            psi_fin = np.tensordot(psi, v_keep, axes=(1, 0)).transpose(0, 3, 1, 2)
+            for j in range(psi_fin.shape[3]):
+                nrm = np.linalg.norm(psi_fin[..., j])
+                if nrm > 0:
+                    psi_fin[..., j] /= nrm
+            yield p, eig, psi, psi_fin, rec.lambdas
+            if nxt == p:
+                guess = psi_fin
+            elif nxt is not None:
+                guess = step(p, psi_fin, rightward=nxt > p)
 
     # Warmup: grow against the mirror environment (bases are still uniform).
     left[1] = right[1] = enlarge_block(left[0], bases[0], hbar)
@@ -616,58 +590,36 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
         right[length + 1] = left[length + 1]
         length += 1
 
-    # Finite-system sweeps.
+    # Finite-system sweeps: rightward from where warmup stopped, then back
+    # to site 1; later sweeps start at site 1.
     sweep_trace: list[float] = []
     sweep_tols: list[float] = []
     prev_best = math.inf
     converged = False
-    start = length
-    guess = None
+    back = list(range(n_sites - 2, -1, -1))
+    sites = list(range(length, n_sites)) + back
     for _sweep in range(config.n_sweeps):
-        tol = _sweep_tolerance(sweep_trace, config.eig_tol)
+        tol = _sweep_tolerance(sweep_trace)
         sweep_tols.append(tol)
-        best = math.inf
-        for p in range(start, n_sites):
-            eig, psi_fin, _s, _lams = solve_at(p, guess, tol)
-            best = min(best, eig.values[0])
-            if p < n_sites - 1:
-                guess = step(p, psi_fin, rightward=True)
-        # Turnaround: site N's refined basis enters right[1] before the
-        # leftward half-sweep solves against it.
-        guess = step(n_sites - 1, psi_fin, rightward=False)
-        for p in range(n_sites - 2, -1, -1):
-            eig, psi_fin, _s, _lams = solve_at(p, guess, tol)
-            best = min(best, eig.values[0])
-            if p > 0:
-                guess = step(p, psi_fin, rightward=False)
-        # The next visit (next sweep or measurement) is site 1 again, in
-        # the same superblock.
-        guess = psi_fin
+        best = min(eig.values[0] for _p, eig, *_rest in visit(sites, tol))
         sweep_trace.append(best)
-        if abs(prev_best - best) < config.energy_tol and tol <= config.converging_tol():
+        if abs(prev_best - best) < ENERGY_TOL and tol <= CONVERGING_TOL:
             converged = True
             break
         prev_best = best
-        start = 0
+        sites = list(range(n_sites)) + back
 
     # Measurement pass: entropies per site, energies at the central site.
     site_entropies = np.zeros(n_sites)
     central = (n_sites - 1) // 2
-    energies = None
-    central_lams = None
-    central_block_lams = None
-    for p in range(n_sites):
-        eig, psi_fin, s_site, site_lams = solve_at(p, guess)
-        site_entropies[p] = s_site
+    for p, eig, psi, psi_fin, site_lams in visit(list(range(n_sites)), EIG_TOL, None):
+        site_entropies[p] = von_neumann(_averaged_rdm(psi[..., :1], (1,)))
         if p == central:
             energies = eig.values.copy()
             central_lams = np.asarray(site_lams, dtype=float)
-            weights = _target_weights_for(config, psi_fin.shape[3])
-            factor = _weighted_factor(psi_fin, weights, (0, 1))
+            factor = _weighted_factor(psi_fin, (0, 1))
             sig = np.linalg.svd(factor, compute_uv=False)
             central_block_lams = np.pad(sig**2, (0, factor.shape[0] - sig.size))
-        if p < n_sites - 1:
-            guess = step(p, psi_fin, rightward=True)
 
     gap = float(energies[1] - energies[0]) if energies.size >= 2 else None
     return DmrgResult(

@@ -149,16 +149,11 @@ def build_full_hamiltonian(spec: ChainSpec, force_matrix_free: bool = False) -> 
     return FullHamiltonian(spec, force_matrix_free=force_matrix_free)
 
 
-def ed_lowest(
-    spec: ChainSpec,
-    k: int,
-    tol: float = 1e-10,
-    max_iter: int = 2000,
-    seed: int = 0,
-) -> tuple[np.ndarray, list[FullState]]:
-    """The k lowest exact eigenpairs: (ascending energies, states)."""
+def ed_lowest(spec: ChainSpec, k: int, seed: int = 0) -> tuple[np.ndarray, list[FullState]]:
+    """The k lowest exact eigenpairs, to the solver's default tolerance
+    1e-10: (ascending energies, states)."""
     ham = build_full_hamiltonian(spec)
-    res = lowest_k(ham.matvec_block, ham.dim, k, tol=tol, max_iter=max_iter, seed=seed)
+    res = lowest_k(ham.matvec_block, ham.dim, k, seed=seed)
     dims = (spec.bare_dim,) * spec.n_sites
     states = []
     for j in range(res.values.size):

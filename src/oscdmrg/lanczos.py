@@ -203,8 +203,8 @@ def lowest_k(
             for _ in range(2):
                 fresh -= spanned.T @ (spanned @ fresh)
             block[lost] = np.linalg.qr(fresh)[0].T
-            lo = 0
         q_rows[p:p + k] = block
         # The next product reaches back to row wlo: the previous block, or
-        # after a restart or a replacement (lo = 0) the whole basis.
+        # after a restart (lo = 0) the whole basis. A replaced, fresh
+        # direction needs no more: the basis holds H of every older row.
         wlo, lo, p = lo, p, p + k

@@ -58,6 +58,15 @@ def test_unknown_flag_exits_one(capsys):
     assert err
 
 
+def test_empty_feed_exits_one(capsys, monkeypatch):
+    # bare mode is --basis-mode bare; --n1 0 is refused before any solve
+    monkeypatch.setattr("oscdmrg.cli.run_dmrg", _no_solve)
+    code, out, err = run_cli(["dmrg", "--n1", "0"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "feed_size" in err
+
+
 def test_bad_list_flag_exits_one(capsys):
     code, out, err = run_cli(["scan-basis", "--n-list", "4,x"], capsys)
     assert code == 1
@@ -201,7 +210,7 @@ def test_dmrg_non_convergence_names_a_loose_sweep_tolerance(capsys, monkeypatch)
     # (10 energy_tol) a sweep needs to declare convergence
     import oscdmrg.dmrg as dmrg_mod
 
-    monkeypatch.setattr(dmrg_mod, "_sweep_tolerance", lambda trace, eig_tol: 1e-6)
+    monkeypatch.setattr(dmrg_mod, "_sweep_tolerance", lambda trace: 1e-6)
     args = ["dmrg", "--N", "6", "--m", "8", "--n", "4", "--basis-mode", "bare"]
     code, out, err = run_cli(args, capsys)
     assert code == 2

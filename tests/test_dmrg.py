@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -50,13 +51,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DmrgConfig(kept_states=0)
     with pytest.raises(ValueError):
-        DmrgConfig(kept_states=4, n_targets=2, target_weights=(0.5, 0.6))
-    with pytest.raises(ValueError):
-        DmrgConfig(kept_states=4, n_targets=2, target_weights=(1.0,))
-    with pytest.raises(ValueError):
         DmrgConfig(kept_states=4, feed_size=-1)
-    cfg = DmrgConfig(kept_states=4, n_targets=4)
-    np.testing.assert_allclose(cfg.weights(), 0.25 * np.ones(4), atol=1e-15)
+    for name in ("kept_states", "feed_size", "n_targets", "n_sweeps"):
+        with pytest.raises(ValueError, match=name):
+            DmrgConfig(**{"kept_states": 4, name: 0})
+    assert [f.name for f in dataclasses.fields(DmrgConfig)] == [
+        "kept_states", "feed_size", "n_targets", "n_sweeps", "optimized", "seed"]
 
 
 def test_enlarge_from_empty_is_projected_site():
@@ -204,11 +204,13 @@ def test_run_dmrg_optimized_beats_bare():
 
 
 def test_bare_mode_is_refinement_off():
-    # bare runs: optimized off, or no feed; the feed size is then ignored
+    # bare runs: optimized off, the one switch; the feed size is then ignored,
+    # and an empty feed is no second way to ask for them
     spec = ChainSpec(8, 1.0, 12)
+    with pytest.raises(ValueError, match="feed_size"):
+        DmrgConfig(kept_states=5, feed_size=0, n_targets=1, optimized=True)
     configs = [
         DmrgConfig(kept_states=5, n_targets=1, optimized=False),
-        DmrgConfig(kept_states=5, feed_size=0, n_targets=1, optimized=True),
         DmrgConfig(kept_states=5, feed_size=7, n_targets=1, optimized=False),
     ]
     ref, *others = [run_dmrg(spec, cfg) for cfg in configs]
@@ -280,7 +282,7 @@ def test_run_dmrg_sweep_trace_monotone():
 
 
 def test_sweep_solves_follow_the_tolerance_schedule(monkeypatch):
-    # warmup and the measurement pass solve to eig_tol, each sweep to its own
+    # warmup and the measurement pass solve to EIG_TOL, each sweep to its own
     # entry of sweep_tolerances. Bare mode makes one solve per site visit:
     # four warmup solves grow the left block to sites 1..5, the first sweep visits
     # sites 6..10 and back to 1, later sweeps 1..10 and back, and the
@@ -302,58 +304,57 @@ def test_sweep_solves_follow_the_tolerance_schedule(monkeypatch):
     assert sweep_tols.shape == result.sweep_energy_trace.shape
     assert sweep_tols.size >= 3
     visits = [14] + [19] * (sweep_tols.size - 1)
-    expected = [cfg.eig_tol] * 4
+    expected = [dmrg_mod.EIG_TOL] * 4
     for tol, count in zip(sweep_tols, visits):
         expected += [tol] * count
-    expected += [cfg.eig_tol] * spec.n_sites
+    expected += [dmrg_mod.EIG_TOL] * spec.n_sites
     assert tols == expected
 
     trace = result.sweep_energy_trace
     assert list(sweep_tols[:2]) == [1e-6, 1e-6]
     for s in range(2, sweep_tols.size):
         de = abs(trace[s - 1] - trace[s - 2])
-        assert sweep_tols[s] == max(min(0.1 * de, 1e-6), cfg.eig_tol)
-    assert np.all((sweep_tols >= cfg.eig_tol) & (sweep_tols <= 1e-6))
+        assert sweep_tols[s] == max(min(0.1 * de, 1e-6), dmrg_mod.EIG_TOL)
+    assert np.all((sweep_tols >= dmrg_mod.EIG_TOL) & (sweep_tols <= 1e-6))
     assert sweep_tols[-1] < 1e-6  # the schedule did tighten
-    # never tighter than eig_tol, also where eig_tol is above the 1e-6 cap
-    assert dmrg_mod._sweep_tolerance([2.0, 1.0], 1e-5) == 1e-5
-    assert dmrg_mod._sweep_tolerance([1.0, 1.0], 1e-12) == 1e-12
+    # never tighter than EIG_TOL
+    assert dmrg_mod._sweep_tolerance([1.0, 1.0]) == dmrg_mod.EIG_TOL == 1e-10
 
 
 def test_a_loose_sweep_cannot_declare_convergence(monkeypatch):
-    # with every sweep at 1e-6, above converging_tol() = 10 energy_tol, the
-    # sweep-to-sweep |dE| falls below energy_tol but no sweep may declare
+    # with every sweep at 1e-6, above CONVERGING_TOL = 10 ENERGY_TOL, the
+    # sweep-to-sweep |dE| falls below ENERGY_TOL but no sweep may declare
     import oscdmrg.dmrg as dmrg_mod
 
     spec = ChainSpec(6, 1.0, 8)
     cfg = DmrgConfig(kept_states=4, optimized=False)
     real = run_dmrg(spec, cfg)
     assert real.converged
-    assert real.sweep_tolerances[-1] <= cfg.converging_tol() == 1e-7
+    assert real.sweep_tolerances[-1] <= dmrg_mod.CONVERGING_TOL == 1e-7
 
-    monkeypatch.setattr(dmrg_mod, "_sweep_tolerance", lambda trace, eig_tol: 1e-6)
+    monkeypatch.setattr(dmrg_mod, "_sweep_tolerance", lambda trace: 1e-6)
     loose = run_dmrg(spec, cfg)
     assert not loose.converged
     trace = loose.sweep_energy_trace
     assert trace.size == cfg.n_sweeps
-    assert abs(trace[-1] - trace[-2]) < cfg.energy_tol
+    assert abs(trace[-1] - trace[-2]) < dmrg_mod.ENERGY_TOL == 1e-8
     np.testing.assert_array_equal(loose.sweep_tolerances, np.full(cfg.n_sweeps, 1e-6))
 
 
 def test_sweep_tolerance_schedule_keeps_converged_answers(monkeypatch):
-    # the schedule against every sweep solve at eig_tol, on a configuration
+    # the schedule against every sweep solve at EIG_TOL, on a configuration
     # that converges either way
     import oscdmrg.dmrg as dmrg_mod
 
     spec = ChainSpec(10, 1.0, 14)
     cfg = DmrgConfig(10, 4, n_sweeps=20)
     scheduled = run_dmrg(spec, cfg)
-    monkeypatch.setattr(dmrg_mod, "_sweep_tolerance", lambda trace, eig_tol: eig_tol)
+    monkeypatch.setattr(dmrg_mod, "_sweep_tolerance", lambda trace: dmrg_mod.EIG_TOL)
     tight = run_dmrg(spec, cfg)
     assert scheduled.converged and tight.converged
     assert scheduled.sweep_energy_trace.size == tight.sweep_energy_trace.size
-    assert np.any(scheduled.sweep_tolerances > cfg.eig_tol)
-    np.testing.assert_array_equal(tight.sweep_tolerances, cfg.eig_tol)
+    assert np.any(scheduled.sweep_tolerances > dmrg_mod.EIG_TOL)
+    np.testing.assert_array_equal(tight.sweep_tolerances, dmrg_mod.EIG_TOL)
     np.testing.assert_allclose(scheduled.energies, tight.energies, rtol=1e-10, atol=0)
     assert abs(scheduled.entanglement_SE - tight.entanglement_SE) <= 1e-8
 
@@ -443,7 +444,7 @@ def test_refinement_converges_to_unique_fixed_point():
     left1 = enlarge_block(Block.empty(), full, 1.0)
     ops = site_operators(full, 1.0)
     _eig, psi = superblock_solve(left1, ops, left1, cfg)
-    factor = _weighted_factor(psi, np.array([1.0]), (0, 1))
+    factor = _weighted_factor(psi, (0, 1))
     left2, _ = truncate_block(enlarge_block(left1, full, 1.0), factor, 4)
 
     rng = np.random.default_rng(0)
@@ -493,7 +494,7 @@ def test_refinement_stops_at_first_full_space_solve(monkeypatch):
     start = bare_site_basis(m, n)
     left1 = enlarge_block(Block.empty(), start, 1.0)
     _eig, psi = superblock_solve(left1, site_operators(start, 1.0), left1, cfg)
-    factor = _weighted_factor(psi, np.array([1.0]), (0, 1))
+    factor = _weighted_factor(psi, (0, 1))
     left2, _ = truncate_block(enlarge_block(left1, start, 1.0), factor, n)
 
     rng = np.random.default_rng(3)
@@ -563,14 +564,14 @@ def test_averaged_rdm_matches_einsum_partial_trace():
     rng = np.random.default_rng(11)
     psi = rng.standard_normal((3, 4, 5, 2))
     psi /= np.linalg.norm(psi.reshape(-1, 2), axis=0)
-    w = np.array([0.7, 0.3])
+    w = np.full(2, 0.5)  # the targets' equal weights
     expected = {
         (1,): np.einsum("j,asbj,atbj->st", w, psi, psi),
         (0, 1): np.einsum("j,asbj,ctbj->asct", w, psi, psi).reshape(12, 12),
         (2, 1): np.einsum("j,asbj,atcj->bsct", w, psi, psi).reshape(20, 20),
     }
     for axes, rho_ref in expected.items():
-        rho = _averaged_rdm(psi, w, axes)
+        rho = _averaged_rdm(psi, axes)
         np.testing.assert_allclose(rho, rho_ref, atol=1e-14)
         np.testing.assert_array_equal(rho, rho.T)
         assert np.trace(rho) == pytest.approx(1.0, abs=1e-14)
@@ -645,7 +646,7 @@ def test_superblock_matvec_equals_kron_assembly(left, right, ds, nb, block_width
 
 @st.composite
 def _truncations(draw):
-    """A block, a target-weighted wavefunction factor of 1-3 targets and a
+    """A block, an equally weighted wavefunction factor of 1-3 targets and a
     number of kept states. Its rows may outnumber its columns or not, and
     it may have fewer columns than kept states."""
     n_tar = draw(st.integers(1, 3))
@@ -655,12 +656,10 @@ def _truncations(draw):
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal((dl, ds, dr, n_tar))
     psi /= np.linalg.norm(psi.reshape(-1, n_tar), axis=0)
-    weights = rng.uniform(0.1, 1.0, n_tar)
-    weights /= weights.sum()
     dim = math.prod(psi.shape[a] for a in axes)
     n = draw(st.integers(1, dim))
     block = Block(2, dim, _random_sym(rng, dim), _random_sym(rng, dim))
-    return block, psi, weights, axes, n
+    return block, psi, axes, n
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -669,9 +668,9 @@ def test_truncate_block_from_factor_matches_eigh_of_rho(problem):
     # the left singular vectors of M are the eigenvectors of rho = M M^T
     from oscdmrg.dmrg import _averaged_rdm, _weighted_factor
 
-    block, psi, weights, axes, n = problem
-    factor = _weighted_factor(psi, weights, axes)
-    rho = _averaged_rdm(psi, weights, axes)
+    block, psi, axes, n = problem
+    factor = _weighted_factor(psi, axes)
+    rho = _averaged_rdm(psi, axes)
     np.testing.assert_allclose(factor @ factor.T, rho, rtol=0, atol=1e-14)
     new, record = truncate_block(block, factor, n, position=3)
 
