@@ -13,6 +13,7 @@ lie in (0, 2).
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +27,7 @@ __all__ = [
     "ground_energy_closed",
     "first_gap",
     "spectrum",
+    "parity_levels",
 ]
 
 
@@ -91,36 +93,36 @@ def first_gap(spec: ChainSpec) -> float:
     return spec.hbar_tilde * dispersion(spec, 1)
 
 
-def spectrum(spec: ChainSpec, count: int) -> np.ndarray:
-    """Lowest ``count`` excitation energies above the ground state, ascending.
+def parity_levels(spec: ChainSpec):
+    """Eigenstates of the untruncated chain best-first from the ground
+    state, degenerate ones repeated, as (excitation energy, parity) pairs.
 
-    Enumerates occupation vectors best-first on the total energy
-    sum_j n_j * hbar * w_j (ties broken lexicographically on the occupation
-    vector, so the output is deterministic) and collapses levels that
-    coincide within 1e-12.
-    """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    Occupation vectors are walked on sum_j n_j hbar w_j, ties broken
+    lexicographically. A state's parity under P = (-1)^(sum_i n_i) is
+    (-1)^(total quanta), since every mode coordinate is odd under P."""
     freqs = spec.hbar_tilde * mode_spectrum(spec).frequencies
-    n_modes = len(freqs)
-
     # Heap entries: (energy, occupation, lowest mode index allowed to grow).
     # Restricting increments to indices >= the last one incremented makes
     # every occupation vector reachable exactly once.
-    heap = []
-    zero = (0,) * n_modes
-    for j in range(n_modes):
-        occ = list(zero)
-        occ[j] = 1
-        heapq.heappush(heap, (freqs[j], tuple(occ), j))
-
-    levels: list[float] = []
-    while heap and len(levels) < count:
+    heap = [(0.0, (0,) * len(freqs), 0)]
+    while heap:
         energy, occ, last = heapq.heappop(heap)
-        if not levels or energy - levels[-1] > 1e-12 * max(1.0, energy):
-            levels.append(energy)
-        for j in range(last, n_modes):
+        yield energy, 1 - 2 * (sum(occ) % 2)
+        for j in range(last, len(freqs)):
             nxt = list(occ)
             nxt[j] += 1
             heapq.heappush(heap, (energy + freqs[j], tuple(nxt), j))
+
+
+def spectrum(spec: ChainSpec, count: int) -> np.ndarray:
+    """Lowest ``count`` excitation energies above the ground state, ascending;
+    levels of :func:`parity_levels` within 1e-12 of each other are one."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    levels: list[float] = []
+    for energy, _ in itertools.islice(parity_levels(spec), 1, None):
+        if not levels or energy - levels[-1] > 1e-12 * max(1.0, energy):
+            levels.append(energy)
+            if len(levels) == count:
+                break
     return np.array(levels)

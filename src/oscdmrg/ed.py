@@ -9,11 +9,13 @@ state.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec
+from .chain import ChainSpec, ground_energy_closed, parity_levels
 from .errors import ResourceLimitError
 from .fock import bond_coefficient, kron, ladder_ops, onsite_term
 from .lanczos import lowest_k
@@ -96,12 +98,6 @@ class FullHamiltonian:
             h += term
         return h
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float).ravel()
-        if v.size != self.dim:
-            raise ValueError(f"vector length {v.size} != dimension {self.dim}")
-        return self.matvec_block(v[:, None]).ravel()
-
     def matvec_block(self, vblock: np.ndarray) -> np.ndarray:
         """H @ vblock for a (dim, k) block, as a (dim, k) array.
 
@@ -149,14 +145,55 @@ def build_full_hamiltonian(spec: ChainSpec, force_matrix_free: bool = False) -> 
     return FullHamiltonian(spec, force_matrix_free=force_matrix_free)
 
 
+def _sector_matvec(ham: FullHamiltonian, idx: np.ndarray):
+    """H on the product states ``idx``: the dense submatrix, or the full
+    matvec of a block that is zero elsewhere, read back on ``idx``."""
+    if ham._dense is not None:
+        sub = ham._dense[np.ix_(idx, idx)]
+        return lambda block: sub @ block
+
+    def apply(block: np.ndarray) -> np.ndarray:
+        rows = np.zeros((block.shape[1], ham.dim))
+        rows[:, idx] = block.T
+        return ham.matvec_block(rows.T).T[:, idx].T
+    return apply
+
+
 def ed_lowest(spec: ChainSpec, k: int, seed: int = 0) -> tuple[np.ndarray, list[FullState]]:
     """The k lowest exact eigenpairs, to the solver's default tolerance
-    1e-10: (ascending energies, states)."""
+    1e-10: (ascending energies, states on the full m^N space).
+
+    H conserves the parity P = (-1)^(sum_i n_i), so each sector is solved
+    on its own, for as many states as the closed form puts in it. The
+    counts are certified: H_m compresses the untruncated H onto a cutoff
+    that commutes with P, so by Cauchy interlacing a sector's next level is
+    at least its next closed-form level. While that bound does not clear
+    the k-th energy found (ties included), the sector's count rises by one
+    and it is solved again.
+    """
     ham = build_full_hamiltonian(spec)
-    res = lowest_k(ham.matvec_block, ham.dim, k, seed=seed)
-    dims = (spec.bare_dim,) * spec.n_sites
-    states = []
-    for j in range(res.values.size):
-        vec = res.vectors[:, j]
-        states.append(FullState(spec.n_sites, dims, vec / np.linalg.norm(vec)))
-    return res.values.copy(), states
+    if not 1 <= k <= ham.dim:
+        raise ValueError(f"k={k} outside 1..{ham.dim}")
+    quanta = functools.reduce(np.add.outer, [np.arange(spec.bare_dim)] * spec.n_sites)
+    sectors = {s: np.flatnonzero(1 - 2 * (quanta.ravel() % 2) == s) for s in (1, -1)}
+    first = [s for _, s in itertools.islice(parity_levels(spec), k)]
+    counts = {s: min(first.count(s), idx.size) for s, idx in sectors.items()}
+    e0, solved, rise = ground_energy_closed(spec), {}, True
+    while rise:
+        for s, idx in sectors.items():
+            if counts[s] > (solved[s].values.size if s in solved else 0):
+                solved[s] = lowest_k(_sector_matvec(ham, idx), idx.size, counts[s], seed=seed)
+        found = sorted((e, s, j) for s, res in solved.items() for j, e in enumerate(res.values))
+        e_k = found[k - 1][0] if len(found) >= k else np.inf
+        below = dict.fromkeys(sectors, 0)  # closed-form levels <= e_k, per sector
+        for energy, s in parity_levels(spec):
+            if e0 + energy > e_k or all(below[t] > counts[t] for t in below):
+                break
+            below[s] += 1
+        rise = [s for s in sectors if counts[s] < min(below[s], sectors[s].size)]
+        counts.update({s: counts[s] + 1 for s in rise})
+    vecs = np.zeros((k, ham.dim))
+    for vec, (_, s, j) in zip(vecs, found):
+        vec[sectors[s]] = solved[s].vectors[:, j]
+    states = [FullState(spec.n_sites, quanta.shape, v / np.linalg.norm(v)) for v in vecs]
+    return np.array([e for e, _, _ in found[:k]]), states

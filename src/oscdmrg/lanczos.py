@@ -126,7 +126,7 @@ def lowest_k(
     # 22, 602 (2000)) with block size k. Every applied block is projected on
     # the whole basis, so t_mat is exactly Q^T H Q, also across restarts.
     # Q is stored one vector per row, so every block of it is contiguous.
-    width = min(dim, max(6 * k + 10, 24))
+    width = min(dim, 6 * k + 10)
     keep = min(width - k, max(2 * k, width // 2))
     q_rows = np.empty((width, dim))
     t_mat = np.zeros((width, width))

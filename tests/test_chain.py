@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from oscdmrg import (
     mode_spectrum,
     spectrum,
 )
+from oscdmrg.chain import parity_levels
 
 
 def test_chain_spec_validation():
@@ -124,3 +126,23 @@ def test_spectrum_properties():
     assert levels[0] == pytest.approx(first_gap(spec), abs=1e-12)
     with pytest.raises(ValueError):
         spectrum(spec, 0)
+
+
+def test_spectrum_unchanged_by_the_parity_walk():
+    # spectrum(ChainSpec(7, 0.7), 10) as the parent of the parity-resolved
+    # walk printed it, bit for bit.
+    frozen = [0.2731264508225795, 0.5357568053111257, 0.546252901645159,
+              0.777798326227443, 0.8088832561337052, 0.8193793524677386,
+              0.9899494936611664, 1.0509247770500225, 1.0715136106222514,
+              1.0820097069562848]
+    np.testing.assert_array_equal(spectrum(ChainSpec(7, 0.7), 10), frozen)
+
+
+def test_parity_levels_two_modes():
+    # modes 1 and sqrt(3): vacuum +, (1,0) -, (0,1) -, (2,0) +, (1,1) +, (3,0) -
+    energies, signs = zip(*itertools.islice(parity_levels(ChainSpec(2)), 6))
+    assert signs == (1, -1, -1, 1, 1, -1)
+    s3 = math.sqrt(3)
+    np.testing.assert_allclose(energies, [0.0, 1.0, s3, 2.0, 1.0 + s3, 3.0], atol=1e-12)
+    np.testing.assert_array_equal(spectrum(ChainSpec(2), 5), energies[1:])
+

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -14,8 +15,11 @@ from oscdmrg import (
     build_full_hamiltonian,
     ed_lowest,
     ground_energy_closed,
+    lowest_k,
     onsite_term,
 )
+from oscdmrg import ed as ed_module
+from oscdmrg.chain import parity_levels
 
 
 def test_full_state_validation():
@@ -62,7 +66,6 @@ def test_hamiltonian_symmetric_and_paths_agree():
     rng = np.random.default_rng(0)
     v = rng.standard_normal((125, 4))
     np.testing.assert_allclose(free.matvec_block(v), h @ v, atol=1e-11)
-    np.testing.assert_allclose(free.matvec(v[:, 0]), h @ v[:, 0], atol=1e-11)
 
 
 @st.composite
@@ -98,15 +101,15 @@ def test_matrix_free_matvec_equals_dense_assembly(problem):
     np.testing.assert_allclose(ham.matvec_block(row_block),
                                ham.matvec_block(np.ascontiguousarray(row_block)),
                                rtol=0, atol=1e-14)
-    np.testing.assert_allclose(ham.matvec(q[:, 0]), h @ q[:, 0], rtol=0, atol=1e-11)
 
 
 def test_ed_solve_peak_memory():
-    # The matrix-free solve at 78125 states holds its 24-row Krylov basis
-    # (14.3 MiB) and a few 2-row blocks (1.2 MiB each) around each product.
-    # A matvec that copies the row-stored block it is handed measures
-    # 20.9 MiB. A smaller matrix-free solve runs first, so that one-time
-    # allocations do not count.
+    # The matrix-free solve at 78125 states is one k=1 solve per parity
+    # sector of about 39k states. Each holds a 16-row Krylov basis (4.8 MiB)
+    # and scatters every product into a full-space row and gathers it back
+    # (0.6 MiB each), beside the sector labels and the on-site diagonal. A
+    # smaller matrix-free solve runs first, so that one-time allocations do
+    # not count.
     ed_lowest(ChainSpec(6, 1.0, 5), 2, seed=721)
     tracemalloc.start()
     try:
@@ -114,7 +117,7 @@ def test_ed_solve_peak_memory():
         peak = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    assert peak <= 19.8, f"ED solve peak {peak:.2f} MiB exceeds 19.8 MiB"
+    assert peak <= 9.7, f"ED solve peak {peak:.2f} MiB exceeds 9.7 MiB"
 
 
 def test_resource_guards():
@@ -162,7 +165,73 @@ def test_ed_matrix_free_path_matches_dense_path():
     spec = ChainSpec(6, 1.0, 3)  # dim 729, below the dense cap
     e_dense, _ = ed_lowest(spec, 2)
     ham = build_full_hamiltonian(spec, force_matrix_free=True)
-    from oscdmrg import lowest_k
-
     res = lowest_k(ham.matvec_block, ham.dim, 2)
     np.testing.assert_allclose(res.values, e_dense, atol=1e-9)
+
+
+def _parity(state):
+    """<P> of a state, P = (-1)^(sum_i n_i)."""
+    quanta = np.indices(state.site_dims).sum(axis=0).ravel()
+    return float(np.sum((1 - 2 * (quanta % 2)) * state.amplitudes**2))
+
+
+@pytest.mark.parametrize("n_sites,m", [(4, 6), (5, 5)])
+def test_ed_lowest_levels_have_definite_parity(n_sites, m):
+    # measured before the sector solves: +, -, -, +, - at both sizes
+    _, states = ed_lowest(ChainSpec(n_sites, 1.0, m), 5)
+    np.testing.assert_allclose([_parity(s) for s in states], [1, -1, -1, 1, -1],
+                               rtol=0, atol=1e-12)
+
+
+@st.composite
+def _ed_problems(draw):
+    """A chain of at most 1296 states, so that a dense eigvalsh is cheap,
+    and k from 1 to 6."""
+    m = draw(st.integers(2, 6))
+    n_sites = draw(st.integers(1, {2: 10, 3: 6, 4: 5, 5: 4, 6: 4}[m]))
+    hbar = draw(st.floats(0.5, 2.0))
+    k = draw(st.integers(1, min(6, m**n_sites)))
+    return ChainSpec(n_sites, hbar, m), k
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_ed_problems())
+def test_ed_lowest_equals_dense_eigvalsh(problem):
+    spec, k = problem
+    energies, states = ed_lowest(spec, k)
+    h = build_full_hamiltonian(spec).dense()
+    np.testing.assert_allclose(energies, np.linalg.eigvalsh(h)[:k], rtol=0, atol=1e-9)
+    for e, state in zip(energies, states):
+        assert abs(abs(_parity(state)) - 1.0) <= 1e-12
+        resid = np.linalg.norm(h @ state.amplitudes - e * state.amplitudes)
+        assert resid <= 1e-9 * max(1.0, abs(e))
+
+
+def test_ed_certificate_solves_sectors_again(monkeypatch):
+    # At (N, m) = (6, 3) the closed form's four lowest states have parities
+    # +, -, -, +, but the cutoff lifts the second even level above the third
+    # odd one. With k=4 the closed-form counts (2, 2) leave the fourth
+    # energy to the second even state; both sectors' next closed-form levels
+    # lie below it, so each is solved again for three states.
+    spec = ChainSpec(6, 1.0, 3)
+    closed = [s for _, s in itertools.islice(parity_levels(spec), 4)]
+    assert closed == [1, -1, -1, 1]
+    calls = []
+
+    def counting(apply, dim, k, **kwargs):
+        calls.append((dim, k))
+        return lowest_k(apply, dim, k, **kwargs)
+
+    monkeypatch.setattr(ed_module, "lowest_k", counting)
+    energies, states = ed_lowest(spec, 4)
+    assert calls == [(365, 2), (364, 2), (365, 3), (364, 3)]
+    h = build_full_hamiltonian(spec).dense()
+    np.testing.assert_allclose(energies, np.linalg.eigvalsh(h)[:4], rtol=0, atol=1e-9)
+    np.testing.assert_allclose([_parity(s) for s in states], [1, -1, -1, -1],
+                               rtol=0, atol=1e-12)
+
+
+def test_ed_lowest_rejects_k_outside_the_space():
+    for k in (0, 9):
+        with pytest.raises(ValueError, match="outside 1..8"):
+            ed_lowest(ChainSpec(3, 1.0, 2), k)
