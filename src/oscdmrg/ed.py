@@ -2,9 +2,9 @@
 
 Builds H = sum_i h_i + g * sum_{i<N} x_i x_{i+1} on the m^N product space,
 materialized dense for small dimensions and as a matrix-free tensor
-contraction otherwise, then solves for the lowest eigenpairs. This is the
-second, non-analytic oracle used to validate the DMRG engine state by
-state.
+contraction otherwise, then solves each parity sector for its lowest
+eigenpairs. This is the second, non-analytic oracle used to validate the
+DMRG engine state by state.
 """
 
 from __future__ import annotations
