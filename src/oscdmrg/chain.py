@@ -109,9 +109,8 @@ def parity_levels(spec: ChainSpec):
         energy, occ, last = heapq.heappop(heap)
         yield energy, 1 - 2 * (sum(occ) % 2)
         for j in range(last, len(freqs)):
-            nxt = list(occ)
-            nxt[j] += 1
-            heapq.heappush(heap, (energy + freqs[j], tuple(nxt), j))
+            nxt = occ[:j] + (occ[j] + 1,) + occ[j + 1:]
+            heapq.heappush(heap, (energy + freqs[j], nxt, j))
 
 
 def spectrum(spec: ChainSpec, count: int) -> np.ndarray:

@@ -98,6 +98,12 @@ class FullHamiltonian:
             h += term
         return h
 
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=float).ravel()
+        if v.size != self.dim:
+            raise ValueError(f"vector length {v.size} != dimension {self.dim}")
+        return self.matvec_block(v[:, None]).ravel()
+
     def matvec_block(self, vblock: np.ndarray) -> np.ndarray:
         """H @ vblock for a (dim, k) block, as a (dim, k) array.
 
@@ -146,12 +152,7 @@ def build_full_hamiltonian(spec: ChainSpec, force_matrix_free: bool = False) -> 
 
 
 def _sector_matvec(ham: FullHamiltonian, idx: np.ndarray):
-    """H on the product states ``idx``: the dense submatrix, or the full
-    matvec of a block that is zero elsewhere, read back on ``idx``."""
-    if ham._dense is not None:
-        sub = ham._dense[np.ix_(idx, idx)]
-        return lambda block: sub @ block
-
+    """H on the product states ``idx``, through the full matvec."""
     def apply(block: np.ndarray) -> np.ndarray:
         rows = np.zeros((block.shape[1], ham.dim))
         rows[:, idx] = block.T
@@ -163,13 +164,13 @@ def ed_lowest(spec: ChainSpec, k: int, seed: int = 0) -> tuple[np.ndarray, list[
     """The k lowest exact eigenpairs, to the solver's default tolerance
     1e-10: (ascending energies, states on the full m^N space).
 
-    H conserves the parity P = (-1)^(sum_i n_i), so each sector is solved
-    on its own, for as many states as the closed form puts in it. The
-    counts are certified: H_m compresses the untruncated H onto a cutoff
-    that commutes with P, so by Cauchy interlacing a sector's next level is
-    at least its next closed-form level. While that bound does not clear
-    the k-th energy found (ties included), the sector's count rises by one
-    and it is solved again.
+    H conserves P = (-1)^(sum_i n_i); each sector is solved on its own for
+    as many states as the closed form puts in it. H_m compresses the
+    untruncated H onto a cutoff that commutes with P, so by Cauchy
+    interlacing a sector's next level is at least its next closed-form
+    level. Where that bound does not clear the k-th energy found (ties
+    included), the sector is solved again for its closed-form levels up to
+    that energy, at most k.
     """
     ham = build_full_hamiltonian(spec)
     if not 1 <= k <= ham.dim:
@@ -177,7 +178,8 @@ def ed_lowest(spec: ChainSpec, k: int, seed: int = 0) -> tuple[np.ndarray, list[
     quanta = functools.reduce(np.add.outer, [np.arange(spec.bare_dim)] * spec.n_sites)
     sectors = {s: np.flatnonzero(1 - 2 * (quanta.ravel() % 2) == s) for s in (1, -1)}
     first = [s for _, s in itertools.islice(parity_levels(spec), k)]
-    counts = {s: min(first.count(s), idx.size) for s, idx in sectors.items()}
+    caps = {s: min(idx.size, k) for s, idx in sectors.items()}
+    counts = {s: min(first.count(s), caps[s]) for s in sectors}
     e0, solved, rise = ground_energy_closed(spec), {}, True
     while rise:
         for s, idx in sectors.items():
@@ -185,13 +187,13 @@ def ed_lowest(spec: ChainSpec, k: int, seed: int = 0) -> tuple[np.ndarray, list[
                 solved[s] = lowest_k(_sector_matvec(ham, idx), idx.size, counts[s], seed=seed)
         found = sorted((e, s, j) for s, res in solved.items() for j, e in enumerate(res.values))
         e_k = found[k - 1][0] if len(found) >= k else np.inf
-        below = dict.fromkeys(sectors, 0)  # closed-form levels <= e_k, per sector
+        below = dict.fromkeys(sectors, 0)  # closed-form levels <= e_k, up to the cap
         for energy, s in parity_levels(spec):
-            if e0 + energy > e_k or all(below[t] > counts[t] for t in below):
+            if e0 + energy > e_k or all(below[t] >= caps[t] for t in below):
                 break
             below[s] += 1
-        rise = [s for s in sectors if counts[s] < min(below[s], sectors[s].size)]
-        counts.update({s: counts[s] + 1 for s in rise})
+        rise = {s: min(below[s], caps[s]) for s in sectors if counts[s] < min(below[s], caps[s])}
+        counts.update(rise)
     vecs = np.zeros((k, ham.dim))
     for vec, (_, s, j) in zip(vecs, found):
         vec[sectors[s]] = solved[s].vectors[:, j]

@@ -66,6 +66,7 @@ def test_hamiltonian_symmetric_and_paths_agree():
     rng = np.random.default_rng(0)
     v = rng.standard_normal((125, 4))
     np.testing.assert_allclose(free.matvec_block(v), h @ v, atol=1e-11)
+    np.testing.assert_allclose(free.matvec(v[:, 0]), h @ v[:, 0], atol=1e-11)
 
 
 @st.composite
@@ -101,6 +102,7 @@ def test_matrix_free_matvec_equals_dense_assembly(problem):
     np.testing.assert_allclose(ham.matvec_block(row_block),
                                ham.matvec_block(np.ascontiguousarray(row_block)),
                                rtol=0, atol=1e-14)
+    np.testing.assert_allclose(ham.matvec(q[:, 0]), h @ q[:, 0], rtol=0, atol=1e-11)
 
 
 def test_ed_solve_peak_memory():
@@ -207,28 +209,34 @@ def test_ed_lowest_equals_dense_eigvalsh(problem):
         assert resid <= 1e-9 * max(1.0, abs(e))
 
 
-def test_ed_certificate_solves_sectors_again(monkeypatch):
-    # At (N, m) = (6, 3) the closed form's four lowest states have parities
-    # +, -, -, +, but the cutoff lifts the second even level above the third
-    # odd one. With k=4 the closed-form counts (2, 2) leave the fourth
-    # energy to the second even state; both sectors' next closed-form levels
-    # lie below it, so each is solved again for three states.
-    spec = ChainSpec(6, 1.0, 3)
-    closed = [s for _, s in itertools.islice(parity_levels(spec), 4)]
-    assert closed == [1, -1, -1, 1]
-    calls = []
+@pytest.mark.parametrize("n_sites,m,k,closed,ed,calls", [
+    # The cutoff lifts the second even level above the third odd one, so
+    # the closed-form counts (2, 2) leave the fourth energy to the second
+    # even state; both sectors' next closed-form levels lie below it, so
+    # each is solved again for three states.
+    (6, 3, 4, [1, -1, -1, 1], [1, -1, -1, -1], [(365, 2), (364, 2), (365, 3), (364, 3)]),
+    # At m=2 the cutoff lifts every level far above the closed form: more
+    # than six closed-form levels of each sector lie below the sixth energy
+    # found, so each sector is solved again once, for k states, which
+    # always suffice.
+    (10, 2, 6, [1, -1, -1, 1, -1, 1], [1, -1, -1, -1, -1, -1],
+     [(512, 3), (512, 3), (512, 6), (512, 6)]),
+])
+def test_ed_certificate_solves_sectors_again(monkeypatch, n_sites, m, k, closed, ed, calls):
+    spec = ChainSpec(n_sites, 1.0, m)
+    assert [s for _, s in itertools.islice(parity_levels(spec), k)] == closed
+    made = []
 
     def counting(apply, dim, k, **kwargs):
-        calls.append((dim, k))
+        made.append((dim, k))
         return lowest_k(apply, dim, k, **kwargs)
 
     monkeypatch.setattr(ed_module, "lowest_k", counting)
-    energies, states = ed_lowest(spec, 4)
-    assert calls == [(365, 2), (364, 2), (365, 3), (364, 3)]
+    energies, states = ed_lowest(spec, k)
+    assert made == calls
     h = build_full_hamiltonian(spec).dense()
-    np.testing.assert_allclose(energies, np.linalg.eigvalsh(h)[:4], rtol=0, atol=1e-9)
-    np.testing.assert_allclose([_parity(s) for s in states], [1, -1, -1, -1],
-                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(energies, np.linalg.eigvalsh(h)[:k], rtol=0, atol=1e-9)
+    np.testing.assert_allclose([_parity(s) for s in states], ed, rtol=0, atol=1e-12)
 
 
 def test_ed_lowest_rejects_k_outside_the_space():
