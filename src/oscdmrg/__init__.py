@@ -25,7 +25,7 @@ from .dmrg import (
     truncate_block,
 )
 from .ed import FullHamiltonian, FullState, build_full_hamiltonian, ed_lowest
-from .entropy import average_local_entanglement, site_rdm, von_neumann
+from .entropy import site_rdm, von_neumann
 from .errors import ConvergenceError, InvalidDensityError, ResourceLimitError
 from .fock import (
     SiteBasis,
@@ -50,7 +50,7 @@ __all__ = [
     "onsite_term", "bond_coefficient", "kron", "project",
     "EigResult", "dense_sym_eig", "lowest_k",
     "FullState", "FullHamiltonian", "build_full_hamiltonian", "ed_lowest",
-    "site_rdm", "von_neumann", "average_local_entanglement",
+    "site_rdm", "von_neumann",
     "DmrgConfig", "DmrgResult", "Block", "TruncationRecord", "SiteOperators",
     "site_operators", "enlarge_block", "truncate_block", "superblock_solve",
     "optimize_site_basis", "run_dmrg",

@@ -56,7 +56,6 @@ __all__ = [
     "run_dmrg",
 ]
 
-_DEGENERACY_TOL = 1e-10
 _MAX_REFINE_CYCLES = 25
 _BASIS_DRIFT_TOL = 1e-12
 # Solve tolerance of warmup and of the measurement pass, and the floor of
@@ -125,8 +124,7 @@ class TruncationRecord:
 
     ``position`` is the 1-based site index at which the event happened;
     ``kind`` is "block" (block-basis truncation) or "site" (optimized-basis
-    refinement). ``boundary_degenerate`` flags an eigenvalue tie across the
-    kept/discarded boundary, where the kept set is rotation-arbitrary.
+    refinement).
     """
 
     position: int
@@ -134,7 +132,6 @@ class TruncationRecord:
     kept: int
     discarded_weight: float
     kind: str = "block"
-    boundary_degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -216,14 +213,12 @@ def _dominant_states(
 ) -> tuple[np.ndarray, TruncationRecord]:
     """The n leading columns of vecs and the record of keeping them, given
     the full density-matrix spectrum lam and its vectors, both descending."""
-    tie = bool(n < lam.size and lam[n - 1] - lam[n] <= _DEGENERACY_TOL)
     record = TruncationRecord(
         position=position,
         lambdas=lam,
         kept=n,
         discarded_weight=float(1.0 - lam[:n].sum()),
         kind=kind,
-        boundary_degenerate=tie,
     )
     return vecs[:, :n].copy(), record
 

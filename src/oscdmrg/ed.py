@@ -1,10 +1,9 @@
 """Exact diagonalization of the full chain on the truncated Fock space.
 
-Builds H = sum_i h_i + g * sum_{i<N} x_i x_{i+1} on the m^N product space,
-materialized dense for small dimensions and as a matrix-free tensor
-contraction otherwise, then solves each parity sector for its lowest
-eigenpairs. This is the second, non-analytic oracle used to validate the
-DMRG engine state by state.
+Applies H = sum_i h_i + g * sum_{i<N} x_i x_{i+1} on the m^N product space
+as a matrix-free tensor contraction, at every size, and solves each parity
+sector for its lowest eigenpairs. This is the second, non-analytic oracle
+used to validate the DMRG engine state by state.
 """
 
 from __future__ import annotations
@@ -20,10 +19,9 @@ from .errors import ResourceLimitError
 from .fock import bond_coefficient, kron, ladder_ops, onsite_term
 from .lanczos import lowest_k
 
-__all__ = ["DENSE_DIM_MAX", "FULL_DIM_GUARD", "FullState", "FullHamiltonian",
-           "build_full_hamiltonian", "ed_lowest"]
+__all__ = ["FULL_DIM_GUARD", "FullState", "FullHamiltonian", "build_full_hamiltonian",
+           "ed_lowest"]
 
-DENSE_DIM_MAX = 4096
 FULL_DIM_GUARD = 2**20
 
 
@@ -54,19 +52,18 @@ class FullState:
 class FullHamiltonian:
     """Symmetric linear map for the full chain Hamiltonian.
 
-    Dense when the dimension allows it; otherwise each matvec applies the
-    on-site diagonal and then every bond term as one GEMM on a reshaped
-    view of the state, never materializing a many-body Kronecker product.
+    Each matvec applies the on-site diagonal and then every bond term as
+    one GEMM on a reshaped view of the state, never materializing a
+    many-body Kronecker product.
     """
 
-    def __init__(self, spec: ChainSpec, force_matrix_free: bool = False):
+    def __init__(self, spec: ChainSpec):
         n, m = spec.n_sites, spec.bare_dim
         dim = m**n
         if dim > FULL_DIM_GUARD:
             raise ResourceLimitError(
                 f"full Hilbert space of dimension {dim} exceeds guard {FULL_DIM_GUARD}"
             )
-        self.spec = spec
         self.dim = dim
         self.n_sites = n
         self.site_dim = m
@@ -82,41 +79,17 @@ class FullHamiltonian:
             diag_nd = diag_nd + d1.reshape(shape)
         self._diag = diag_nd.ravel()
 
-        self._dense: np.ndarray | None = None
-        if dim <= DENSE_DIM_MAX and not force_matrix_free:
-            self._dense = self._assemble_dense()
-
-    def _assemble_dense(self) -> np.ndarray:
-        n, m = self.n_sites, self.site_dim
-        h = np.diag(self._diag.copy())
-        for i in range(n - 1):
-            term = self._gxx
-            if i > 0:
-                term = kron(np.eye(m**i), term)
-            if i < n - 2:
-                term = kron(term, np.eye(m ** (n - i - 2)))
-            h += term
-        return h
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float).ravel()
-        if v.size != self.dim:
-            raise ValueError(f"vector length {v.size} != dimension {self.dim}")
-        return self.matvec_block(v[:, None]).ravel()
-
     def matvec_block(self, vblock: np.ndarray) -> np.ndarray:
         """H @ vblock for a (dim, k) block, as a (dim, k) array.
 
-        The matrix-free path computes on rows, one state per row, and
-        returns the transpose of its C-contiguous (k, dim) result (an
-        F-ordered array). So a block of stored rows, ``rows.T``, goes in and
-        out without a copy; a column-stored block is copied once.
+        It computes on rows, one state per row, and returns the transpose
+        of its C-contiguous (k, dim) result (an F-ordered array). So a block
+        of stored rows, ``rows.T``, goes in and out without a copy; a
+        column-stored block is copied once.
         """
         vblock = np.asarray(vblock, dtype=float)
         if vblock.ndim != 2 or vblock.shape[0] != self.dim:
             raise ValueError(f"expected shape ({self.dim}, k), got {vblock.shape}")
-        if self._dense is not None:
-            return self._dense @ vblock
         n, m = self.n_sites, self.site_dim
         # Every bond below is a reshape view, which needs contiguous rows.
         rows = np.ascontiguousarray(vblock.T)
@@ -135,20 +108,10 @@ class FullHamiltonian:
                     rows.reshape(left, -1) @ np.kron(self._gxx.T, np.eye(r)))
         return out.T
 
-    def dense(self) -> np.ndarray:
-        if self._dense is not None:
-            return self._dense
-        if self.dim > DENSE_DIM_MAX:
-            raise ResourceLimitError(
-                f"refusing to materialize a {self.dim}x{self.dim} matrix"
-            )
-        self._dense = self._assemble_dense()
-        return self._dense
 
-
-def build_full_hamiltonian(spec: ChainSpec, force_matrix_free: bool = False) -> FullHamiltonian:
+def build_full_hamiltonian(spec: ChainSpec) -> FullHamiltonian:
     """The full many-body Hamiltonian on the m^N truncated Fock space."""
-    return FullHamiltonian(spec, force_matrix_free=force_matrix_free)
+    return FullHamiltonian(spec)
 
 
 def _sector_matvec(ham: FullHamiltonian, idx: np.ndarray):

@@ -7,14 +7,13 @@ only rescale the averaged entanglement uniformly.
 from __future__ import annotations
 
 from math import prod
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .ed import FullState
 from .errors import InvalidDensityError
 
-__all__ = ["site_rdm", "von_neumann", "average_local_entanglement"]
+__all__ = ["site_rdm", "von_neumann"]
 
 
 def site_rdm(state: FullState, site: int) -> np.ndarray:
@@ -45,11 +44,3 @@ def von_neumann(rho: np.ndarray) -> float:
     if lam.size == 0:
         return 0.0
     return float(-(lam * np.log(lam)).sum())
-
-
-def average_local_entanglement(rdms: Iterable[np.ndarray] | Sequence[np.ndarray]) -> float:
-    """Mean single-site entropy over the chain."""
-    rhos = list(rdms)
-    if not rhos:
-        raise ValueError("need at least one density matrix")
-    return sum(von_neumann(r) for r in rhos) / len(rhos)

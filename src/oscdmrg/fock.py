@@ -90,13 +90,13 @@ def bond_coefficient(hbar_tilde: float) -> float:
     return -math.sqrt(2.0) * hbar_tilde / 4.0
 
 
-def kron(a: np.ndarray, b: np.ndarray, entry_cap: int = KRON_ENTRY_CAP) -> np.ndarray:
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product with a guard on the output entry count."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    if a.size * b.size > entry_cap:
+    if a.size * b.size > KRON_ENTRY_CAP:
         raise ResourceLimitError(
-            f"kron output would hold {a.size * b.size} entries (cap {entry_cap})"
+            f"kron output would hold {a.size * b.size} entries (cap {KRON_ENTRY_CAP})"
         )
     return np.kron(a, b)
 

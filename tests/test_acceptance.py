@@ -20,7 +20,6 @@ import pytest
 from oscdmrg import (
     ChainSpec,
     DmrgConfig,
-    average_local_entanglement,
     dispersion,
     ed_lowest,
     first_gap,
@@ -28,6 +27,7 @@ from oscdmrg import (
     mode_spectrum,
     run_dmrg,
     site_rdm,
+    von_neumann,
 )
 
 SLACK = 1e-9  # 10 * default eigensolver tolerance
@@ -188,9 +188,7 @@ def test_07_entanglement_convergence(fig2_runs):
     # exact cross-check on a small chain (lossless configuration)
     spec3 = ChainSpec(3, 1.0, 6)
     _, states = ed_lowest(spec3, 1)
-    se_ed = average_local_entanglement(
-        [site_rdm(states[0], i) for i in (1, 2, 3)]
-    )
+    se_ed = sum(von_neumann(site_rdm(states[0], i)) for i in (1, 2, 3)) / 3
     r3 = run_dmrg(spec3, DmrgConfig(kept_states=6, n_targets=1, optimized=False))
     _check_ground_bound(spec3, r3)
     ed_dev = abs(r3.entanglement_SE - se_ed)

@@ -15,11 +15,27 @@ from oscdmrg import (
     build_full_hamiltonian,
     ed_lowest,
     ground_energy_closed,
+    kron,
+    ladder_ops,
     lowest_k,
     onsite_term,
 )
 from oscdmrg import ed as ed_module
 from oscdmrg.chain import parity_levels
+
+
+def _dense_h(spec):
+    """H as a sum of Kronecker products of on-site and bond terms, built
+    apart from FullHamiltonian as a reference for it."""
+    n, m, hbar = spec.n_sites, spec.bare_dim, spec.hbar_tilde
+    a, ad = ladder_ops(m)
+    gxx = bond_coefficient(hbar) * kron(a + ad, a + ad)
+    h = np.zeros((m**n, m**n))
+    for i in range(n):
+        h += kron(kron(np.eye(m**i), onsite_term(m, hbar)), np.eye(m ** (n - i - 1)))
+    for i in range(n - 1):
+        h += kron(kron(np.eye(m**i), gxx), np.eye(m ** (n - i - 2)))
+    return h
 
 
 def test_full_state_validation():
@@ -37,12 +53,11 @@ def test_full_state_validation():
 def test_single_site_is_onsite_term():
     spec = ChainSpec(1, 1.3, 7)
     ham = build_full_hamiltonian(spec)
-    np.testing.assert_allclose(ham.dense(), onsite_term(7, 1.3), atol=1e-14)
+    np.testing.assert_allclose(ham.matvec_block(np.eye(7)), onsite_term(7, 1.3), atol=1e-14)
 
 
 def test_two_site_hand_assembled():
     spec = ChainSpec(2, 1.0, 2)
-    h = build_full_hamiltonian(spec).dense()
     g = bond_coefficient(1.0)
     s2 = math.sqrt(2)
     expected = np.array(
@@ -53,20 +68,16 @@ def test_two_site_hand_assembled():
             [g, 0.0, 0.0, 3 * s2],
         ]
     )
-    np.testing.assert_allclose(h, expected, atol=1e-14)
-    assert h[1, 2] == pytest.approx(-math.sqrt(2) / 4, abs=1e-14)
+    for h in (build_full_hamiltonian(spec).matvec_block(np.eye(4)), _dense_h(spec)):
+        np.testing.assert_allclose(h, expected, atol=1e-14)
+        assert h[1, 2] == pytest.approx(-math.sqrt(2) / 4, abs=1e-14)
 
 
 def test_hamiltonian_symmetric_and_paths_agree():
     spec = ChainSpec(3, 0.8, 5)
-    dense = build_full_hamiltonian(spec)
-    free = build_full_hamiltonian(spec, force_matrix_free=True)
-    h = dense.dense()
-    np.testing.assert_allclose(h, h.T, atol=1e-13)
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal((125, 4))
-    np.testing.assert_allclose(free.matvec_block(v), h @ v, atol=1e-11)
-    np.testing.assert_allclose(free.matvec(v[:, 0]), h @ v[:, 0], atol=1e-11)
+    columns = build_full_hamiltonian(spec).matvec_block(np.eye(125))
+    np.testing.assert_allclose(columns, columns.T, atol=1e-13)
+    np.testing.assert_allclose(columns, _dense_h(spec), atol=1e-13)
 
 
 @st.composite
@@ -85,8 +96,8 @@ def _matvec_problems(draw):
 @given(_matvec_problems())
 def test_matrix_free_matvec_equals_dense_assembly(problem):
     spec, nb, seed = problem
-    ham = build_full_hamiltonian(spec, force_matrix_free=True)
-    h = build_full_hamiltonian(spec).dense()  # ham.dense() would cache it on ham
+    ham = build_full_hamiltonian(spec)
+    h = _dense_h(spec)
     rng = np.random.default_rng(seed)
     q = rng.standard_normal((ham.dim, nb + 2))
     rows = rng.standard_normal((nb + 2, ham.dim))
@@ -102,7 +113,6 @@ def test_matrix_free_matvec_equals_dense_assembly(problem):
     np.testing.assert_allclose(ham.matvec_block(row_block),
                                ham.matvec_block(np.ascontiguousarray(row_block)),
                                rtol=0, atol=1e-14)
-    np.testing.assert_allclose(ham.matvec(q[:, 0]), h @ q[:, 0], rtol=0, atol=1e-11)
 
 
 def test_ed_solve_peak_memory():
@@ -122,12 +132,25 @@ def test_ed_solve_peak_memory():
     assert peak <= 9.7, f"ED solve peak {peak:.2f} MiB exceeds 9.7 MiB"
 
 
+@pytest.mark.parametrize("n_sites,m,k", [(6, 4, 2), (12, 2, 6)])
+def test_ed_peak_memory_at_4096_states(n_sites, m, k):
+    # The operator never forms the 4096 x 4096 matrix (128 MiB). What is
+    # left are Krylov bases on 2048-state sectors: 16 rows (0.25 MiB) per
+    # k=1 sector solve at (6, 4, 2), up to 46 rows (0.7 MiB) for the k=6
+    # re-solves at (12, 2, 6). Measured peaks: 0.5 and 1.8 MiB.
+    ed_lowest(ChainSpec(3, 1.0, m), 1)
+    tracemalloc.start()
+    try:
+        ed_lowest(ChainSpec(n_sites, 1.0, m), k)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0, f"ED solve peak {peak:.2f} MiB exceeds 4 MiB"
+
+
 def test_resource_guards():
     with pytest.raises(ResourceLimitError):
         build_full_hamiltonian(ChainSpec(13, 1.0, 3))  # 3^13 > 2^20
-    big = build_full_hamiltonian(ChainSpec(8, 1.0, 5), force_matrix_free=True)
-    with pytest.raises(ResourceLimitError):
-        big.dense()  # 5^8 = 390625 > dense cap
 
 
 def test_ed_single_site_exact():
@@ -163,12 +186,12 @@ def test_ed_energies_scale_linearly_in_hbar():
     np.testing.assert_allclose(e2, 2.0 * e1, rtol=1e-9)
 
 
-def test_ed_matrix_free_path_matches_dense_path():
-    spec = ChainSpec(6, 1.0, 3)  # dim 729, below the dense cap
-    e_dense, _ = ed_lowest(spec, 2)
-    ham = build_full_hamiltonian(spec, force_matrix_free=True)
+def test_ed_sector_solves_match_one_full_space_solve():
+    spec = ChainSpec(6, 1.0, 3)
+    energies, _ = ed_lowest(spec, 2)
+    ham = build_full_hamiltonian(spec)
     res = lowest_k(ham.matvec_block, ham.dim, 2)
-    np.testing.assert_allclose(res.values, e_dense, atol=1e-9)
+    np.testing.assert_allclose(res.values, energies, atol=1e-9)
 
 
 def _parity(state):
@@ -201,7 +224,7 @@ def _ed_problems(draw):
 def test_ed_lowest_equals_dense_eigvalsh(problem):
     spec, k = problem
     energies, states = ed_lowest(spec, k)
-    h = build_full_hamiltonian(spec).dense()
+    h = _dense_h(spec)
     np.testing.assert_allclose(energies, np.linalg.eigvalsh(h)[:k], rtol=0, atol=1e-9)
     for e, state in zip(energies, states):
         assert abs(abs(_parity(state)) - 1.0) <= 1e-12
@@ -234,7 +257,7 @@ def test_ed_certificate_solves_sectors_again(monkeypatch, n_sites, m, k, closed,
     monkeypatch.setattr(ed_module, "lowest_k", counting)
     energies, states = ed_lowest(spec, k)
     assert made == calls
-    h = build_full_hamiltonian(spec).dense()
+    h = _dense_h(spec)
     np.testing.assert_allclose(energies, np.linalg.eigvalsh(h)[:k], rtol=0, atol=1e-9)
     np.testing.assert_allclose([_parity(s) for s in states], ed, rtol=0, atol=1e-12)
 

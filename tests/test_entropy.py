@@ -7,7 +7,6 @@ from oscdmrg import (
     ChainSpec,
     FullState,
     InvalidDensityError,
-    average_local_entanglement,
     ed_lowest,
     site_rdm,
     von_neumann,
@@ -73,23 +72,12 @@ def test_von_neumann_rotation_invariant():
         assert abs(von_neumann(q.T @ rho @ q) - s0) <= 1e-10
 
 
-def test_average_local_entanglement():
-    pure = np.diag([1.0, 0.0])
-    mixed = 0.5 * np.eye(2)
-    assert average_local_entanglement([pure, pure, pure]) == 0.0
-    assert average_local_entanglement([mixed, mixed]) == pytest.approx(
-        math.log(2), abs=1e-12
-    )
-    with pytest.raises(ValueError):
-        average_local_entanglement([])
-
-
 def test_ed_ground_state_entropies():
     # regression value frozen from the exact-diagonalization oracle
     spec = ChainSpec(3, 1.0, 4)
     _, states = ed_lowest(spec, 1)
     rhos = [site_rdm(states[0], i) for i in (1, 2, 3)]
-    se = average_local_entanglement(rhos)
+    se = sum(von_neumann(r) for r in rhos) / len(rhos)
     assert se == pytest.approx(0.14612728535414862, abs=1e-10)
     assert se > 0
 

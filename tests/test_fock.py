@@ -17,6 +17,7 @@ from oscdmrg import (
     position_op,
     project,
 )
+from oscdmrg.fock import KRON_ENTRY_CAP
 
 
 def test_ladder_ops_small():
@@ -106,12 +107,11 @@ def test_kron_basics():
 
 
 def test_kron_entry_cap():
-    big = np.eye(5000)
-    with pytest.raises(ResourceLimitError):
-        kron(big, big)
-    # tight custom cap
-    with pytest.raises(ResourceLimitError):
-        kron(np.eye(3), np.eye(3), entry_cap=80)
+    # 4097^2 entries exceed KRON_ENTRY_CAP = 2^24; the guard fires before
+    # anything is allocated.
+    row = np.ones((1, 4097))
+    with pytest.raises(ResourceLimitError, match=f"cap {KRON_ENTRY_CAP}"):
+        kron(row, row)
 
 
 def test_site_basis_validation():
