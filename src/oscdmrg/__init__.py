@@ -4,7 +4,6 @@ diagonalization oracle."""
 
 from .chain import (
     ChainSpec,
-    ModeSpectrum,
     dispersion,
     first_gap,
     ground_energy_closed,
@@ -28,14 +27,12 @@ from .ed import FullHamiltonian, FullState, build_full_hamiltonian, ed_lowest
 from .entropy import site_rdm, von_neumann
 from .errors import ConvergenceError, InvalidDensityError, ResourceLimitError
 from .fock import (
+    BOND_COEFFICIENT,
     SiteBasis,
     bare_site_basis,
-    bond_coefficient,
     kron,
     ladder_ops,
-    momentum_op,
     onsite_term,
-    position_op,
     project,
 )
 from .lanczos import EigResult, dense_sym_eig, lowest_k
@@ -44,10 +41,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "ChainSpec", "ModeSpectrum", "dispersion", "mode_spectrum",
+    "ChainSpec", "dispersion", "mode_spectrum",
     "ground_energy_closed", "first_gap", "spectrum",
-    "SiteBasis", "bare_site_basis", "ladder_ops", "position_op", "momentum_op",
-    "onsite_term", "bond_coefficient", "kron", "project",
+    "SiteBasis", "bare_site_basis", "ladder_ops",
+    "onsite_term", "BOND_COEFFICIENT", "kron", "project",
     "EigResult", "dense_sym_eig", "lowest_k",
     "FullState", "FullHamiltonian", "build_full_hamiltonian", "ed_lowest",
     "site_rdm", "von_neumann",

@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "ChainSpec",
-    "ModeSpectrum",
     "dispersion",
     "mode_spectrum",
     "ground_energy_closed",
@@ -48,18 +47,10 @@ class ChainSpec:
     def __post_init__(self):
         if self.n_sites < 1:
             raise ValueError(f"n_sites must be >= 1, got {self.n_sites}")
-        if not self.hbar_tilde > 0:
-            raise ValueError(f"hbar_tilde must be > 0, got {self.hbar_tilde}")
+        if not 0 < self.hbar_tilde < math.inf:
+            raise ValueError(f"hbar_tilde must be finite and > 0, got {self.hbar_tilde}")
         if self.bare_dim < 2:
             raise ValueError(f"bare_dim must be >= 2, got {self.bare_dim}")
-
-
-@dataclass(frozen=True)
-class ModeSpectrum:
-    """Normal-mode frequencies, strictly ascending, with mode numbers 1..N."""
-
-    frequencies: np.ndarray
-    mode_numbers: np.ndarray
 
 
 def dispersion(spec: ChainSpec, j: int) -> float:
@@ -70,11 +61,10 @@ def dispersion(spec: ChainSpec, j: int) -> float:
     return 2.0 * math.sin(j * math.pi / (2.0 * (n + 1)))
 
 
-def mode_spectrum(spec: ChainSpec) -> ModeSpectrum:
-    """All N mode frequencies at once."""
+def mode_spectrum(spec: ChainSpec) -> np.ndarray:
+    """All N mode frequencies at once, strictly ascending (modes 1..N)."""
     j = np.arange(1, spec.n_sites + 1)
-    freqs = 2.0 * np.sin(j * np.pi / (2.0 * (spec.n_sites + 1)))
-    return ModeSpectrum(frequencies=freqs, mode_numbers=j)
+    return 2.0 * np.sin(j * np.pi / (2.0 * (spec.n_sites + 1)))
 
 
 def ground_energy_closed(spec: ChainSpec) -> float:
@@ -100,7 +90,9 @@ def parity_levels(spec: ChainSpec):
     Occupation vectors are walked on sum_j n_j hbar w_j, ties broken
     lexicographically. A state's parity under P = (-1)^(sum_i n_i) is
     (-1)^(total quanta), since every mode coordinate is odd under P."""
-    freqs = spec.hbar_tilde * mode_spectrum(spec).frequencies
+    # Python floats: at a huge finite hbar, energies past the largest float
+    # become inf without a warning, and levels below it stay exact.
+    freqs = [spec.hbar_tilde * w for w in mode_spectrum(spec).tolist()]
     # Heap entries: (energy, occupation, lowest mode index allowed to grow).
     # Restricting increments to indices >= the last one incremented makes
     # every occupation vector reachable exactly once.
@@ -115,12 +107,13 @@ def parity_levels(spec: ChainSpec):
 
 def spectrum(spec: ChainSpec, count: int) -> np.ndarray:
     """Lowest ``count`` excitation energies above the ground state, ascending;
-    levels of :func:`parity_levels` within 1e-12 of each other are one."""
+    levels of :func:`parity_levels` within 1e-12 relative of each other are
+    one, at any scale of hbar."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     levels: list[float] = []
     for energy, _ in itertools.islice(parity_levels(spec), 1, None):
-        if not levels or energy - levels[-1] > 1e-12 * max(1.0, energy):
+        if not levels or energy - levels[-1] > 1e-12 * energy:
             levels.append(energy)
             if len(levels) == count:
                 break

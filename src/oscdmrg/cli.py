@@ -208,8 +208,7 @@ def _cmd_analytic(cfg: RunConfig) -> int:
         {"quantity": "E_ground", "value": ground_energy_closed(spec)},
         {"quantity": "gap_12", "value": first_gap(spec)},
     ]
-    modes = mode_spectrum(spec)
-    for j, w in zip(modes.mode_numbers, modes.frequencies):
+    for j, w in enumerate(mode_spectrum(spec), start=1):
         rows.append({"quantity": f"omega_{j}", "value": float(w)})
     _write_csv(cfg, ["quantity", "value"], rows)
     return EXIT_OK
@@ -242,13 +241,14 @@ def _cmd_dmrg(cfg: RunConfig) -> int:
     if result.converged:
         return EXIT_OK
     trace, tol = result.sweep_energy_trace, result.sweep_tolerances[-1]
+    energy_tol = ENERGY_TOL * spec.hbar_tilde
     missed = (f"last sweep-to-sweep |dE| {abs(trace[-1] - trace[-2]):.3g}"
               if trace.size >= 2 else "no sweep-to-sweep |dE| after one sweep")
-    if trace.size >= 2 and abs(trace[-1] - trace[-2]) < ENERGY_TOL:
+    if trace.size >= 2 and abs(trace[-1] - trace[-2]) < energy_tol:
         missed += (f" met energy_tol, but that sweep solved to tolerance {tol:.3g}, "
                    f"above the {CONVERGING_TOL:.3g} a converging sweep needs")
     print(f"oscdmrg: not converged after {trace.size} sweeps: {missed}, "
-          f"energy_tol {ENERGY_TOL:.3g}", file=sys.stderr)
+          f"energy_tol {energy_tol:.3g}", file=sys.stderr)
     return EXIT_NO_CONVERGENCE
 
 
@@ -328,8 +328,9 @@ _COMMANDS = {
     "dmrg": (_cmd_dmrg, {"basis-mode": "optimized"}),
     "scan-basis": (_cmd_scan_basis, {"N": 50}),
     "scan-size": (_cmd_scan_size, {"n": 10, "ntar": 2, "basis-mode": "optimized"}),
-    # Table-style central-site spectra: the source experiment does not state
-    # its chain size; N=10 puts the leading weight in the documented range.
+    # Table-style spectra of the enlarged central block: the source experiment
+    # does not state its chain size; N=10 puts the leading weight in the
+    # documented range.
     "rdm-table": (_cmd_rdm_table, {"N": 10, "n": 8, "basis-mode": "optimized"}),
     "spectrum": (_cmd_spectrum, {}),
 }

@@ -19,6 +19,11 @@ Sweep solves are warm-started by White's wavefunction transformation (PRL
 block bases between it and the next site, and the result seeds that site's
 first superblock solve. Only warmup and the first full-chain solve that
 ends it start from random vectors.
+
+Since H(hbar) = hbar * H(1), the engine solves the chain at hbar = 1 and
+``run_dmrg`` scales its reported energies by hbar once. Every tolerance below
+is thus in units of hbar: a run at any hbar makes exactly the solves, sweeps
+and convergence decision of the run at hbar = 1.
 """
 
 from __future__ import annotations
@@ -32,9 +37,9 @@ from .chain import ChainSpec
 from .entropy import von_neumann
 from .errors import ConvergenceError
 from .fock import (
+    BOND_COEFFICIENT,
     SiteBasis,
     bare_site_basis,
-    bond_coefficient,
     kron,
     ladder_ops,
     onsite_term,
@@ -140,7 +145,6 @@ class SiteOperators:
 
     h: np.ndarray
     x: np.ndarray
-    bond_coeff: float
 
     @property
     def dim(self) -> int:
@@ -155,13 +159,11 @@ class DmrgResult:
     central-site solve; ``gap`` is energies[1]-energies[0] when at least two
     states were targeted. ``site_entropies[i]`` is the ground-state
     entanglement of site i+1 with the rest of the chain, and
-    ``entanglement_SE`` their average. ``central_site_lambdas`` is the
-    target-averaged central-site density-matrix spectrum and
-    ``central_block_lambdas`` the target-averaged spectrum of the enlarged
-    central block (the truncation density matrix, whose rank is capped by
-    n times the number of targets), both descending.
-    ``sweep_energy_trace`` records the best ground energy seen in each
-    sweep, and ``sweep_tolerances`` the solve tolerance that sweep ran at.
+    ``entanglement_SE`` their average. ``central_block_lambdas`` is the
+    target-averaged spectrum of the enlarged central block (the truncation
+    density matrix, whose rank is capped by n times the number of targets),
+    descending. ``sweep_energy_trace`` records the best ground energy seen in
+    each sweep, and ``sweep_tolerances`` the solve tolerance that sweep ran at.
     """
 
     energies: np.ndarray
@@ -171,33 +173,31 @@ class DmrgResult:
     truncation_records: list
     sweep_energy_trace: np.ndarray
     converged: bool
-    central_site_lambdas: np.ndarray
     central_block_lambdas: np.ndarray
     sweep_tolerances: np.ndarray
 
 
-def site_operators(site: SiteBasis, hbar_tilde: float) -> SiteOperators:
+def site_operators(site: SiteBasis) -> SiteOperators:
     """Bare on-site term and (a^dag + a) projected into the site basis."""
     m = site.bare_dim
     a, ad = ladder_ops(m)
     return SiteOperators(
-        h=project(onsite_term(m, hbar_tilde), site),
+        h=project(onsite_term(m), site),
         x=project(a + ad, site),
-        bond_coeff=bond_coefficient(hbar_tilde),
     )
 
 
-def enlarge_block(block: Block, site: SiteBasis, hbar_tilde: float) -> Block:
+def enlarge_block(block: Block, site: SiteBasis) -> Block:
     """Absorb one site into the block (block index major):
     H' = H (x) 1 + 1 (x) h_site + g * edge_x (x) x_site, edge' = 1 (x) x_site.
     """
-    ops = site_operators(site, hbar_tilde)
+    ops = site_operators(site)
     i_block = np.eye(block.basis_dim)
     i_site = np.eye(ops.dim)
     h = (
         kron(block.hamiltonian, i_site)
         + kron(i_block, ops.h)
-        + ops.bond_coeff * kron(block.edge_x, ops.x)
+        + BOND_COEFFICIENT * kron(block.edge_x, ops.x)
     )
     edge = kron(i_block, ops.x)
     return Block(
@@ -267,7 +267,7 @@ def _superblock_matvec(left: Block, ops: SiteOperators, right: Block, k: int = 1
     lhx = np.vstack([left.hamiltonian, left.edge_x])
     rhx = np.vstack([right.hamiltonian, right.edge_x])
     rhx_kron = np.kron(rhx.T, np.eye(k))
-    shx = np.hstack([ops.h, ops.bond_coeff * ops.x])
+    shx = np.hstack([ops.h, BOND_COEFFICIENT * ops.x])
 
     def apply(vblock: np.ndarray) -> np.ndarray:
         nb = vblock.shape[1]
@@ -349,7 +349,6 @@ def _feed_columns(basis: np.ndarray, group: list[int], m: int) -> np.ndarray:
 
 
 def _refine_site_basis(
-    spec: ChainSpec,
     config: DmrgConfig,
     left: Block,
     right: Block,
@@ -411,7 +410,7 @@ def _refine_site_basis(
             fed_any = fed_any or extra.shape[1] > 0
             b_aug = np.hstack([b_cur, extra])
             aug = SiteBasis(m, b_aug.shape[1], b_aug)
-            ops = site_operators(aug, spec.hbar_tilde)
+            ops = site_operators(aug)
             v0 = None
             if prev_psi_bare is not None:
                 # Transport the previous solutions into the new site basis;
@@ -448,7 +447,6 @@ def _refine_site_basis(
 
 
 def optimize_site_basis(
-    spec: ChainSpec,
     config: DmrgConfig,
     left: Block,
     right: Block,
@@ -464,7 +462,7 @@ def optimize_site_basis(
     per-cycle behavior; the default runs to the feed loop's own stop rules).
     """
     new_basis, record, _eig, _psi, _vk = _refine_site_basis(
-        spec, config, left, right, current, position, max_cycles=max_cycles
+        config, left, right, current, position, max_cycles=max_cycles
     )
     return new_basis, record
 
@@ -483,7 +481,7 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
     until the per-sweep best ground energy changes by less than
     ``ENERGY_TOL`` or ``n_sweeps`` is exhausted (``converged`` records
     which); a final left-to-right pass collects per-site entropies, the
-    central-site spectrum, and the reported energies at the central site.
+    central block's spectrum, and the reported energies at the central site.
     Warmup and that pass solve to ``EIG_TOL``; sweeps 1 and 2 to 1e-6, later
     ones to 0.1 |dE| of the two sweeps before, clipped to [EIG_TOL, 1e-6].
     Only a sweep at ``CONVERGING_TOL`` or tighter may declare convergence.
@@ -495,7 +493,6 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
     n = config.kept_states
     if n > m:
         raise ValueError(f"kept_states {n} exceeds bare_dim {m}")
-    hbar = spec.hbar_tilde
 
     bases = [bare_site_basis(m, n) for _ in range(n_sites)]
     records: list[TruncationRecord] = []
@@ -511,7 +508,7 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
             blocks, j, axes = left, p, (0, 1)
         else:
             blocks, j, axes = right, n_sites - p - 1, (2, 1)
-        enlarged = enlarge_block(blocks[j], bases[p], hbar)
+        enlarged = enlarge_block(blocks[j], bases[p])
         if enlarged.basis_dim > n:
             factor = _weighted_factor(psi_fin, axes)
             enlarged, rec = truncate_block(enlarged, factor, n, position=p + 1)
@@ -544,16 +541,15 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
         ``sites`` (0-based) in turn to ``tol``, warm-started from ``guess``.
 
         Yields (p, eig, psi in the augmented site basis, psi_fin in the
-        final n-dim one with normalized columns, averaged site spectrum
-        descending). After each visit the state becomes the next ``guess``:
-        stepped toward the next site, or as it is when the next visit is the
-        same site. ``then`` is the first site of the pass after this one
-        (every pass after the first sweep starts at p = 0), or None when no
-        pass follows."""
+        final n-dim one with normalized columns). After each visit the state
+        becomes the next ``guess``: stepped toward the next site, or as it is
+        when the next visit is the same site. ``then`` is the first site of
+        the pass after this one (every pass after the first sweep starts at
+        p = 0), or None when no pass follows."""
         nonlocal guess
         for p, nxt in zip(sites, [*sites[1:], then]):
             bases[p], rec, eig, psi, v_keep = _refine_site_basis(
-                spec, config, left[p], right[n_sites - p - 1], bases[p],
+                config, left[p], right[n_sites - p - 1], bases[p],
                 position=p + 1, tol=tol, guess=guess,
             )
             if config.optimized:
@@ -563,17 +559,17 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
                 nrm = np.linalg.norm(psi_fin[..., j])
                 if nrm > 0:
                     psi_fin[..., j] /= nrm
-            yield p, eig, psi, psi_fin, rec.lambdas
+            yield p, eig, psi, psi_fin
             if nxt == p:
                 guess = psi_fin
             elif nxt is not None:
                 guess = step(p, psi_fin, rightward=nxt > p)
 
     # Warmup: grow against the mirror environment (bases are still uniform).
-    left[1] = right[1] = enlarge_block(left[0], bases[0], hbar)
+    left[1] = right[1] = enlarge_block(left[0], bases[0])
     length = 1
     while n_sites - length - 1 > length:
-        ops = site_operators(bases[length], hbar)
+        ops = site_operators(bases[length])
         try:
             _eig, psi = superblock_solve(left[length], ops, right[length], config)
         except ConvergenceError as err:
@@ -607,15 +603,16 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
     # Measurement pass: entropies per site, energies at the central site.
     site_entropies = np.zeros(n_sites)
     central = (n_sites - 1) // 2
-    for p, eig, psi, psi_fin, site_lams in visit(list(range(n_sites)), EIG_TOL, None):
+    for p, eig, psi, psi_fin in visit(list(range(n_sites)), EIG_TOL, None):
         site_entropies[p] = von_neumann(_averaged_rdm(psi[..., :1], (1,)))
         if p == central:
-            energies = eig.values.copy()
-            central_lams = np.asarray(site_lams, dtype=float)
+            energies = eig.values
             factor = _weighted_factor(psi_fin, (0, 1))
             sig = np.linalg.svd(factor, compute_uv=False)
             central_block_lams = np.pad(sig**2, (0, factor.shape[0] - sig.size))
 
+    # The one place hbar enters: the solves above are those at hbar = 1.
+    energies, trace = spec.hbar_tilde * energies, spec.hbar_tilde * np.array(sweep_trace)
     gap = float(energies[1] - energies[0]) if energies.size >= 2 else None
     return DmrgResult(
         energies=energies,
@@ -623,9 +620,8 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
         entanglement_SE=float(site_entropies.mean()),
         site_entropies=site_entropies,
         truncation_records=records,
-        sweep_energy_trace=np.array(sweep_trace),
+        sweep_energy_trace=trace,
         converged=converged,
-        central_site_lambdas=central_lams,
         central_block_lambdas=central_block_lams,
         sweep_tolerances=np.array(sweep_tols),
     )

@@ -16,7 +16,7 @@ import numpy as np
 
 from .chain import ChainSpec, ground_energy_closed, parity_levels
 from .errors import ResourceLimitError
-from .fock import bond_coefficient, kron, ladder_ops, onsite_term
+from .fock import BOND_COEFFICIENT, kron, ladder_ops, onsite_term
 from .lanczos import lowest_k
 
 __all__ = ["FULL_DIM_GUARD", "FullState", "FullHamiltonian", "build_full_hamiltonian",
@@ -54,7 +54,8 @@ class FullHamiltonian:
 
     Each matvec applies the on-site diagonal and then every bond term as
     one GEMM on a reshaped view of the state, never materializing a
-    many-body Kronecker product.
+    many-body Kronecker product. Both are built at hbar = 1 and scaled by
+    ``spec.hbar_tilde`` here, once.
     """
 
     def __init__(self, spec: ChainSpec):
@@ -69,9 +70,9 @@ class FullHamiltonian:
         self.site_dim = m
         a, ad = ladder_ops(m)
         # One bond term g x_i x_{i+1} on a pair of sites.
-        self._gxx = bond_coefficient(spec.hbar_tilde) * kron(a + ad, a + ad)
+        self._gxx = spec.hbar_tilde * BOND_COEFFICIENT * kron(a + ad, a + ad)
 
-        d1 = np.diag(onsite_term(m, spec.hbar_tilde))
+        d1 = spec.hbar_tilde * np.diag(onsite_term(m))
         diag_nd = np.zeros((m,) * n)
         for i in range(n):
             shape = [1] * n

@@ -33,8 +33,8 @@ def site_rdm(state: FullState, site: int) -> np.ndarray:
 def von_neumann(rho: np.ndarray) -> float:
     """S = -sum lambda ln lambda over the spectrum of rho, with 0 ln 0 = 0.
 
-    Eigenvalues in [-1e-10, 0) are clamped to zero; anything below -1e-8
-    is rejected as an invalid density matrix.
+    Eigenvalues in [-1e-8, 0) count as zero; anything below -1e-8 is
+    rejected as an invalid density matrix.
     """
     rho = np.asarray(rho, dtype=float)
     lam = np.linalg.eigvalsh(0.5 * (rho + rho.T))

@@ -4,9 +4,11 @@ All local operators are dense real ndarrays. Local dimensions stay in the
 tens, so dense storage is simpler and faster than any sparse format;
 sparsity is only exploited at the superblock matvec level.
 
-In the dimensionless model the single-site term is sqrt(2)*hbar*(n + 1/2)
-(kinetic energy plus the on-site part of both neighboring springs) and each
-bond contributes -(sqrt(2)*hbar/4) * (a^dag + a)_i (a^dag + a)_{i+1}.
+The dimensionless Hamiltonian is linear in the reduced Planck constant, so
+every term here is built with it set to 1 and each engine scales by it once.
+The single-site term is sqrt(2)*(n + 1/2) (kinetic energy plus the on-site
+part of both neighboring springs) and each bond contributes
+-(sqrt(2)/4) * (a^dag + a)_i (a^dag + a)_{i+1}.
 """
 
 from __future__ import annotations
@@ -21,11 +23,9 @@ from .errors import ResourceLimitError
 __all__ = [
     "KRON_ENTRY_CAP",
     "SiteBasis",
+    "BOND_COEFFICIENT",
     "ladder_ops",
-    "position_op",
-    "momentum_op",
     "onsite_term",
-    "bond_coefficient",
     "kron",
     "project",
     "bare_site_basis",
@@ -34,10 +34,8 @@ __all__ = [
 # Guards against accidentally materializing a full many-body Hilbert space.
 KRON_ENTRY_CAP = 2**24
 
-
-def _check_hbar(hbar_tilde: float) -> None:
-    if not hbar_tilde > 0:
-        raise ValueError(f"hbar_tilde must be > 0, got {hbar_tilde}")
+# Scalar multiplying (a^dag + a)_i (a^dag + a)_{i+1} on each bond.
+BOND_COEFFICIENT = -math.sqrt(2.0) / 4.0
 
 
 def ladder_ops(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -53,41 +51,12 @@ def ladder_ops(d: int) -> tuple[np.ndarray, np.ndarray]:
     return a, a.T.copy()
 
 
-def position_op(d: int, hbar_tilde: float) -> np.ndarray:
-    """Displacement operator c * (a^dag + a) with c^2 = hbar / (2 sqrt(2))."""
-    _check_hbar(hbar_tilde)
-    a, ad = ladder_ops(d)
-    c = math.sqrt(hbar_tilde) / 2.0**0.75
-    return c * (ad + a)
-
-
-def momentum_op(d: int, hbar_tilde: float) -> np.ndarray:
-    """Momentum over i: the real antisymmetric M = g*(a^dag - a), P = i*M.
-
-    g = sqrt(hbar/sqrt(2)), which makes [x, M] = hbar * identity away from
-    the truncation corner and P^2 = -M^2. Provided for completeness and
-    testing; the assembled Hamiltonian never uses it (kinetic energy is
-    already folded into the number operator).
-    """
-    _check_hbar(hbar_tilde)
-    a, ad = ladder_ops(d)
-    g = math.sqrt(hbar_tilde) / 2.0**0.25
-    return g * (ad - a)
-
-
-def onsite_term(d: int, hbar_tilde: float) -> np.ndarray:
-    """Single-site energy sqrt(2)*hbar*(a^dag a + 1/2); diagonal."""
-    _check_hbar(hbar_tilde)
+def onsite_term(d: int) -> np.ndarray:
+    """Single-site energy sqrt(2)*(a^dag a + 1/2); diagonal."""
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
     k = np.arange(d, dtype=float)
-    return np.diag(math.sqrt(2.0) * hbar_tilde * (k + 0.5))
-
-
-def bond_coefficient(hbar_tilde: float) -> float:
-    """Scalar multiplying (a^dag + a)_i (a^dag + a)_{i+1} on each bond."""
-    _check_hbar(hbar_tilde)
-    return -math.sqrt(2.0) * hbar_tilde / 4.0
+    return np.diag(math.sqrt(2.0) * (k + 0.5))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Symmetric eigensolvers.
 
 ``dense_sym_eig`` wraps the LAPACK full decomposition, used for density
-matrices and small Hamiltonians. ``lowest_k`` needs only the operator's
+matrices. ``lowest_k`` needs only the operator's
 action on a block of vectors, for superblock and exact diagonalizations
 where the operator is never materialized. Above ``_DENSE_CUTOFF`` it is a
 thick-restart block Lanczos on a basis stored one vector per row. A step

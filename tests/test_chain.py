@@ -21,6 +21,10 @@ def test_chain_spec_validation():
         ChainSpec(0)
     with pytest.raises(ValueError):
         ChainSpec(3, hbar_tilde=0.0)
+    for bad in (math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ChainSpec(3, bad)
+    ChainSpec(3, 1e308)
     with pytest.raises(ValueError):
         ChainSpec(3, bare_dim=1)
 
@@ -44,10 +48,10 @@ def test_dispersion_range_and_errors():
 
 def test_mode_spectrum_matches_dispersion():
     spec = ChainSpec(9, hbar_tilde=2.0)
-    modes = mode_spectrum(spec)
-    assert modes.mode_numbers.tolist() == list(range(1, 10))
-    for j, w in zip(modes.mode_numbers, modes.frequencies):
-        assert w == pytest.approx(dispersion(spec, int(j)), abs=1e-14)
+    freqs = mode_spectrum(spec)
+    assert freqs.shape == (9,)
+    for j, w in enumerate(freqs, start=1):
+        assert w == pytest.approx(dispersion(spec, j), abs=1e-14)
 
 
 def test_ground_energy_small_chains():
@@ -65,7 +69,7 @@ def test_ground_energy_small_chains():
 def test_closed_form_equals_half_mode_sum(hbar):
     for n in range(1, 201):
         spec = ChainSpec(n, hbar_tilde=hbar)
-        direct = 0.5 * hbar * mode_spectrum(spec).frequencies.sum()
+        direct = 0.5 * hbar * mode_spectrum(spec).sum()
         closed = ground_energy_closed(spec)
         assert abs(closed - direct) / closed <= 1e-12
 
@@ -90,6 +94,14 @@ def test_spectrum_single_mode():
     )
 
 
+@pytest.mark.parametrize("hbar", [1e-13, 1e308])
+def test_spectrum_scales_with_hbar(hbar):
+    # levels are told apart relative to their size, and ones beyond those
+    # asked for are never scaled, so tiny and huge hbar give the same levels
+    levels = spectrum(ChainSpec(3, hbar), 2)
+    np.testing.assert_allclose(levels, hbar * spectrum(ChainSpec(3), 2), rtol=1e-14)
+
+
 def test_spectrum_two_modes():
     # modes 1 and sqrt(3); double occupation of mode 1 gives 2
     np.testing.assert_allclose(
@@ -100,7 +112,7 @@ def test_spectrum_two_modes():
 def test_spectrum_oracle_brute_force():
     # enumerate occupation vectors exhaustively and compare
     spec = ChainSpec(4, hbar_tilde=0.7)
-    freqs = 0.7 * mode_spectrum(spec).frequencies
+    freqs = 0.7 * mode_spectrum(spec)
     energies = set()
     for a in range(8):
         for b in range(8):

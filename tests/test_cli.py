@@ -226,6 +226,27 @@ def test_dmrg_non_convergence_names_a_loose_sweep_tolerance(capsys, monkeypatch)
     assert "energy_tol 1e-08" in err
 
 
+def test_dmrg_non_convergence_names_the_tolerance_in_units_of_hbar(capsys):
+    # the engine's energy_tol applies to the chain at hbar = 1, so the
+    # reported sweep energies at hbar = 2 are held to 2 * 1e-8
+    args = ["dmrg", "--N", "5", "--m", "8", "--n", "4", "--n1", "2", "--ntar", "2",
+            "--hbar", "2", "--sweeps", "2"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    _, rows = parse_csv(out)
+    assert {r["quantity"]: r["value"] for r in rows}["converged"] == "false"
+    assert "energy_tol 2e-08" in err
+
+
+@pytest.mark.parametrize("command", [["analytic"], ["ed", "--N", "3", "--m", "4"],
+                                     ["spectrum", "--N-list", "3", "--levels", "2"]])
+def test_infinite_hbar_exits_one(command, capsys):
+    code, out, err = run_cli([*command, "--hbar", "inf"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "finite" in err
+
+
 def test_scan_basis_schema_and_determinism(tmp_path, capsys):
     args = [
         "scan-basis", "--N", "4", "--m", "6", "--n-list", "3,4", "--ntar", "1",

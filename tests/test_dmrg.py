@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscdmrg import (
+    BOND_COEFFICIENT,
     Block,
     ChainSpec,
     DmrgConfig,
     SiteOperators,
     bare_site_basis,
-    bond_coefficient,
     build_full_hamiltonian,
     dense_sym_eig,
     ed_lowest,
@@ -61,16 +61,16 @@ def test_config_validation():
 
 def test_enlarge_from_empty_is_projected_site():
     basis = bare_site_basis(6, 3)
-    blk = enlarge_block(Block.empty(), basis, 1.0)
+    blk = enlarge_block(Block.empty(), basis)
     assert blk.length == 1 and blk.basis_dim == 3
-    ops = site_operators(basis, 1.0)
+    ops = site_operators(basis)
     np.testing.assert_allclose(blk.hamiltonian, ops.h, atol=1e-14)
     np.testing.assert_allclose(blk.edge_x, ops.x, atol=1e-14)
 
 
 def test_two_enlargements_match_hand_assembled_two_site():
     basis = bare_site_basis(2, 2)
-    blk = enlarge_block(enlarge_block(Block.empty(), basis, 1.0), basis, 1.0)
+    blk = enlarge_block(enlarge_block(Block.empty(), basis), basis)
     expected = build_full_hamiltonian(ChainSpec(2, 1.0, 2)).matvec_block(np.eye(4))
     np.testing.assert_allclose(blk.hamiltonian, expected, atol=1e-12)
     np.testing.assert_allclose(blk.hamiltonian, blk.hamiltonian.T, atol=1e-13)
@@ -79,7 +79,7 @@ def test_two_enlargements_match_hand_assembled_two_site():
 
 def test_truncate_block_rotation_preserves_spectrum():
     basis = bare_site_basis(4, 4)
-    blk = enlarge_block(enlarge_block(Block.empty(), basis, 1.0), basis, 1.0)
+    blk = enlarge_block(enlarge_block(Block.empty(), basis), basis)
     state = _pure_state(16, seed=2)
     rotated, record = truncate_block(blk, state, 16, position=2)
     before = np.linalg.eigvalsh(blk.hamiltonian)
@@ -90,7 +90,7 @@ def test_truncate_block_rotation_preserves_spectrum():
 
 def test_truncate_block_pure_state_rank_one():
     basis = bare_site_basis(3, 3)
-    blk = enlarge_block(enlarge_block(Block.empty(), basis, 1.0), basis, 1.0)
+    blk = enlarge_block(enlarge_block(Block.empty(), basis), basis)
     state = _pure_state(9, seed=7)
     truncated, record = truncate_block(blk, state, 1, position=2)
     assert truncated.basis_dim == 1
@@ -106,7 +106,7 @@ def test_truncate_block_pure_state_rank_one():
 
 def test_truncation_record_invariants():
     basis = bare_site_basis(3, 3)
-    blk = enlarge_block(enlarge_block(Block.empty(), basis, 1.0), basis, 1.0)
+    blk = enlarge_block(enlarge_block(Block.empty(), basis), basis)
     rng = np.random.default_rng(5)
     m = rng.standard_normal((9, 4))
     _, record = truncate_block(blk, m / np.sqrt(np.trace(m @ m.T)), 3, position=2)
@@ -119,10 +119,10 @@ def test_truncation_record_invariants():
 
 def test_superblock_single_site_reproduces_onsite_spectrum():
     basis = bare_site_basis(5, 5)
-    ops = site_operators(basis, 1.0)
+    ops = site_operators(basis)
     cfg = DmrgConfig(kept_states=5, n_targets=3)
     res, psi = superblock_solve(Block.empty(), ops, Block.empty(), cfg)
-    expected = np.diag(onsite_term(5, 1.0))[:3]
+    expected = np.diag(onsite_term(5))[:3]
     np.testing.assert_allclose(res.values, expected, atol=1e-10)
     assert psi.shape == (1, 5, 1, 3)
 
@@ -132,11 +132,11 @@ def test_superblock_matvec_linearity():
     state = _pure_state(4, seed=1)
     rho = 0.5 * state @ state.T + 0.5 * np.eye(4) / 4
     blk = truncate_block(
-        enlarge_block(Block.empty(), bare_site_basis(4, 4), 1.0),
+        enlarge_block(Block.empty(), bare_site_basis(4, 4)),
         np.linalg.cholesky(rho),
         3,
     )[0]
-    ops = site_operators(basis, 1.0)
+    ops = site_operators(basis)
     from oscdmrg.dmrg import _superblock_matvec
 
     apply, (dl, ds, dr) = _superblock_matvec(blk, ops, blk)
@@ -150,14 +150,14 @@ def test_superblock_matvec_linearity():
 
 def test_superblock_untruncated_matches_ed():
     # full blocks, full site: the superblock spans the whole chain exactly
-    hbar, m = 1.0, 6
+    m = 6
     full = bare_site_basis(m, m)
-    left = enlarge_block(Block.empty(), full, hbar)
-    right = enlarge_block(enlarge_block(Block.empty(), full, hbar), full, hbar)
-    ops = site_operators(full, hbar)
+    left = enlarge_block(Block.empty(), full)
+    right = enlarge_block(enlarge_block(Block.empty(), full), full)
+    ops = site_operators(full)
     cfg = DmrgConfig(kept_states=m, n_targets=1)
     res, _psi = superblock_solve(left, ops, right, cfg)
-    e_ed, _ = ed_lowest(ChainSpec(4, hbar, m), 1)
+    e_ed, _ = ed_lowest(ChainSpec(4, 1.0, m), 1)
     assert res.values[0] == pytest.approx(e_ed[0], abs=1e-9)
 
 
@@ -379,7 +379,9 @@ def test_run_dmrg_records_and_entropies():
         assert np.all(rec.lambdas >= -1e-10)
         assert rec.lambdas.sum() == pytest.approx(1.0, abs=1e-8)
         assert -1e-8 <= rec.discarded_weight <= 1.0
-    lams = result.central_site_lambdas
+    # the central site's averaged spectrum, from its measurement visit
+    lams = [rec.lambdas for rec in result.truncation_records
+            if rec.kind == "site" and rec.position == 3][-1]
     assert lams[0] > 0.5
     assert lams.sum() == pytest.approx(1.0, abs=1e-8)
 
@@ -394,25 +396,41 @@ def test_run_dmrg_deterministic():
 
 
 def test_run_dmrg_hbar_scaling():
-    # the wavefunction is hbar-independent, so energies scale exactly
-    spec1 = ChainSpec(4, 1.0, 6)
-    spec3 = ChainSpec(4, 3.0, 6)
+    # H(hbar) = hbar * H(1): the run at hbar = 3 makes the solves of the run
+    # at hbar = 1, and only its reported energies are scaled
     cfg = DmrgConfig(kept_states=5, feed_size=2, n_targets=2, optimized=True)
-    r1 = run_dmrg(spec1, cfg)
-    r3 = run_dmrg(spec3, cfg)
-    np.testing.assert_allclose(r3.energies, 3.0 * r1.energies, rtol=1e-8)
-    assert r3.entanglement_SE == pytest.approx(r1.entanglement_SE, abs=1e-8)
+    r1 = run_dmrg(ChainSpec(4, 1.0, 6), cfg)
+    r3 = run_dmrg(ChainSpec(4, 3.0, 6), cfg)
+    assert np.array_equal(r3.energies, 3.0 * r1.energies)
+    assert np.array_equal(r3.sweep_energy_trace, 3.0 * r1.sweep_energy_trace)
+    for name in ("site_entropies", "central_block_lambdas", "sweep_tolerances"):
+        assert np.array_equal(getattr(r3, name), getattr(r1, name))
+    assert r3.converged == r1.converged
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(n_sites=st.integers(3, 6), m=st.integers(3, 6), data=st.data(),
+       n1=st.integers(1, 3), n_targets=st.integers(1, 2), optimized=st.booleans(),
+       hbar=st.floats(0.25, 4.0), seed=st.integers(0, 9))
+def test_run_dmrg_energy_is_variational(n_sites, m, data, n1, n_targets, optimized,
+                                        hbar, seed):
+    # every DMRG state lies in the truncated Fock space, so E0 is at least
+    # the untruncated chain's ground energy
+    n = data.draw(st.integers(2, m))
+    spec = ChainSpec(n_sites, hbar, m)
+    result = run_dmrg(spec, DmrgConfig(kept_states=n, feed_size=n1, n_targets=n_targets,
+                                       n_sweeps=2, optimized=optimized, seed=seed))
+    assert result.energies[0] >= ground_energy_closed(spec) * (1 - 1e-12)
 
 
 def test_optimize_site_basis_full_bare_space_is_rotation():
     # n = m: nothing to feed; the returned basis spans the full bare space
-    hbar, m = 1.0, 4
+    m = 4
     full = bare_site_basis(m, m)
-    left = enlarge_block(Block.empty(), full, hbar)
-    right = enlarge_block(Block.empty(), full, hbar)
-    spec = ChainSpec(3, hbar, m)
+    left = enlarge_block(Block.empty(), full)
+    right = enlarge_block(Block.empty(), full)
     cfg = DmrgConfig(kept_states=m, feed_size=2, n_targets=1)
-    basis, record = optimize_site_basis(spec, cfg, left, right, full, position=2)
+    basis, record = optimize_site_basis(cfg, left, right, full, position=2)
     assert basis.kept_dim == m
     # spans the full space: the transform is orthogonal (identity up to rotation)
     np.testing.assert_allclose(
@@ -421,11 +439,11 @@ def test_optimize_site_basis_full_bare_space_is_rotation():
     assert record.kind == "site"
     assert record.discarded_weight == pytest.approx(0.0, abs=1e-10)
     # energy equals the unoptimized superblock ground state
-    ops = site_operators(full, hbar)
+    ops = site_operators(full)
     res, _ = superblock_solve(left, ops, right, cfg)
     e_ed = res.values[0]
-    basis2, _rec = optimize_site_basis(spec, cfg, left, right, full, position=2)
-    ops2 = site_operators(basis2, hbar)
+    basis2, _rec = optimize_site_basis(cfg, left, right, full, position=2)
+    ops2 = site_operators(basis2)
     res2, _ = superblock_solve(left, ops2, right, cfg)
     assert res2.values[0] == pytest.approx(e_ed, abs=1e-10)
 
@@ -438,14 +456,13 @@ def test_refinement_converges_to_unique_fixed_point():
     from oscdmrg import SiteBasis
     from oscdmrg.dmrg import _weighted_factor
 
-    spec = ChainSpec(5, 1.0, 10)
     cfg = DmrgConfig(kept_states=4, feed_size=2, n_targets=1)
     full = bare_site_basis(10, 4)
-    left1 = enlarge_block(Block.empty(), full, 1.0)
-    ops = site_operators(full, 1.0)
+    left1 = enlarge_block(Block.empty(), full)
+    ops = site_operators(full)
     _eig, psi = superblock_solve(left1, ops, left1, cfg)
     factor = _weighted_factor(psi, (0, 1))
-    left2, _ = truncate_block(enlarge_block(left1, full, 1.0), factor, 4)
+    left2, _ = truncate_block(enlarge_block(left1, full), factor, 4)
 
     rng = np.random.default_rng(0)
     rand_cols = np.linalg.qr(rng.standard_normal((10, 4)))[0]
@@ -453,9 +470,8 @@ def test_refinement_converges_to_unique_fixed_point():
     for label, start in (("bare", full), ("random", SiteBasis(10, 4, rand_cols))):
         basis, weights = bare_site_basis(10, 4) if label == "bare" else start, []
         for _cycle in range(10):
-            basis, rec = optimize_site_basis(
-                spec, cfg, left2, left2, basis, position=3, max_cycles=1
-            )
+            basis, rec = optimize_site_basis(cfg, left2, left2, basis, position=3,
+                                             max_cycles=1)
             weights.append(rec.discarded_weight)
         assert abs(weights[-1] - weights[-2]) <= 1e-12
         finals[label] = (basis, weights[-1])
@@ -489,24 +505,22 @@ def test_refinement_stops_at_first_full_space_solve(monkeypatch):
     from oscdmrg.dmrg import _weighted_factor
 
     m, n = 10, 7
-    spec = ChainSpec(5, 1.0, m)
     cfg = DmrgConfig(kept_states=n, feed_size=3, n_targets=1)
     start = bare_site_basis(m, n)
-    left1 = enlarge_block(Block.empty(), start, 1.0)
-    _eig, psi = superblock_solve(left1, site_operators(start, 1.0), left1, cfg)
+    left1 = enlarge_block(Block.empty(), start)
+    _eig, psi = superblock_solve(left1, site_operators(start), left1, cfg)
     factor = _weighted_factor(psi, (0, 1))
-    left2, _ = truncate_block(enlarge_block(left1, start, 1.0), factor, n)
+    left2, _ = truncate_block(enlarge_block(left1, start), factor, n)
 
     rng = np.random.default_rng(3)
     rand_cols = np.linalg.qr(rng.standard_normal((m, n)))[0]
     calls = _counting_lowest_k(monkeypatch)
-    basis, record = optimize_site_basis(
-        spec, cfg, left2, left2, SiteBasis(m, n, rand_cols), position=3
-    )
+    basis, record = optimize_site_basis(cfg, left2, left2, SiteBasis(m, n, rand_cols),
+                                        position=3)
     assert calls[0] == 1
 
     _eig, psi_full = superblock_solve(
-        left2, site_operators(bare_site_basis(m, m), 1.0), left2, cfg
+        left2, site_operators(bare_site_basis(m, m)), left2, cfg
     )
     rho_site = np.einsum("asb,atb->st", psi_full[..., 0], psi_full[..., 0])
     lam, vecs = np.linalg.eigh(rho_site)
@@ -615,16 +629,14 @@ def _blocks(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(left=_blocks(), right=_blocks(), ds=st.integers(1, 6), nb=st.integers(1, 5),
-       block_width=st.booleans(), coeff=st.floats(-2.0, 2.0),
-       seed=st.integers(0, 2**32 - 1))
-def test_superblock_matvec_equals_kron_assembly(left, right, ds, nb, block_width, coeff,
-                                                seed):
+       block_width=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_superblock_matvec_equals_kron_assembly(left, right, ds, nb, block_width, seed):
     # blocks of the solve's width k and of other widths take different
     # right-block products; the identity is the dense path's input
     from oscdmrg.dmrg import _superblock_matvec
 
     rng = np.random.default_rng(seed)
-    ops = SiteOperators(h=_random_sym(rng, ds), x=_random_sym(rng, ds), bond_coeff=coeff)
+    ops = SiteOperators(h=_random_sym(rng, ds), x=_random_sym(rng, ds))
     apply, dims = _superblock_matvec(left, ops, right, k=nb if block_width else 1)
     assert dims == (left.basis_dim, ds, right.basis_dim)
     hl, xl, hr, xr = left.hamiltonian, left.edge_x, right.hamiltonian, right.edge_x
@@ -634,7 +646,7 @@ def test_superblock_matvec_equals_kron_assembly(left, right, ds, nb, block_width
         return np.kron(a, np.kron(b, c))
 
     ham = (kron3(hl, i_s, ir) + kron3(il, ops.h, ir) + kron3(il, i_s, hr)
-           + coeff * (kron3(xl, ops.x, ir) + kron3(il, ops.x, xr)))
+           + BOND_COEFFICIENT * (kron3(xl, ops.x, ir) + kron3(il, ops.x, xr)))
     vblock = rng.standard_normal((ham.shape[0], nb))
     np.testing.assert_allclose(apply(vblock), ham @ vblock, rtol=0, atol=1e-12)
     np.testing.assert_allclose(apply(np.eye(ham.shape[0])), ham, rtol=0, atol=1e-12)

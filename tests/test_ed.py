@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from oscdmrg import (
     ChainSpec,
     FullState,
+    BOND_COEFFICIENT,
     ResourceLimitError,
-    bond_coefficient,
     build_full_hamiltonian,
     ed_lowest,
     ground_energy_closed,
@@ -29,10 +29,10 @@ def _dense_h(spec):
     apart from FullHamiltonian as a reference for it."""
     n, m, hbar = spec.n_sites, spec.bare_dim, spec.hbar_tilde
     a, ad = ladder_ops(m)
-    gxx = bond_coefficient(hbar) * kron(a + ad, a + ad)
+    gxx = hbar * BOND_COEFFICIENT * kron(a + ad, a + ad)
     h = np.zeros((m**n, m**n))
     for i in range(n):
-        h += kron(kron(np.eye(m**i), onsite_term(m, hbar)), np.eye(m ** (n - i - 1)))
+        h += kron(kron(np.eye(m**i), hbar * onsite_term(m)), np.eye(m ** (n - i - 1)))
     for i in range(n - 1):
         h += kron(kron(np.eye(m**i), gxx), np.eye(m ** (n - i - 2)))
     return h
@@ -53,12 +53,12 @@ def test_full_state_validation():
 def test_single_site_is_onsite_term():
     spec = ChainSpec(1, 1.3, 7)
     ham = build_full_hamiltonian(spec)
-    np.testing.assert_allclose(ham.matvec_block(np.eye(7)), onsite_term(7, 1.3), atol=1e-14)
+    np.testing.assert_allclose(ham.matvec_block(np.eye(7)), 1.3 * onsite_term(7), atol=1e-14)
 
 
 def test_two_site_hand_assembled():
     spec = ChainSpec(2, 1.0, 2)
-    g = bond_coefficient(1.0)
+    g = BOND_COEFFICIENT
     s2 = math.sqrt(2)
     expected = np.array(
         [

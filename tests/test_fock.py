@@ -7,17 +7,22 @@ from oscdmrg import (
     ChainSpec,
     ResourceLimitError,
     SiteBasis,
+    BOND_COEFFICIENT,
     bare_site_basis,
-    bond_coefficient,
     ground_energy_closed,
     kron,
     ladder_ops,
-    momentum_op,
     onsite_term,
-    position_op,
     project,
 )
 from oscdmrg.fock import KRON_ENTRY_CAP
+
+
+def _position_and_momentum(d):
+    """x = 2^(-3/4) (a + a^dag) and the real antisymmetric M = 2^(-1/4)
+    (a^dag - a), P = i M, of the chain at unit hbar."""
+    a, ad = ladder_ops(d)
+    return 2.0**-0.75 * (a + ad), 2.0**-0.25 * (ad - a)
 
 
 def test_ladder_ops_small():
@@ -47,52 +52,38 @@ def test_number_operator_diagonal():
     np.testing.assert_allclose(np.diag(num), np.arange(9.0), atol=5e-15)
 
 
-def test_position_op():
-    x = position_op(2, 1.0)
-    c = 0.5946035575013605
-    np.testing.assert_allclose(x, [[0.0, c], [c, 0.0]], atol=1e-12)
-    x5 = position_op(5, 0.7)
-    np.testing.assert_allclose(x5, x5.T, atol=1e-14)
-    np.testing.assert_allclose(position_op(4, 4.0), 2.0 * position_op(4, 1.0), atol=1e-13)
-    with pytest.raises(ValueError):
-        position_op(3, 0.0)
-
-
 def test_momentum_commutator_and_kinetic():
-    d, hbar = 10, 1.3
-    x = position_op(d, hbar)
-    p_gen = momentum_op(d, hbar)
+    d = 10
+    x, p_gen = _position_and_momentum(d)
     np.testing.assert_allclose(p_gen, -p_gen.T, atol=1e-14)
     comm = x @ p_gen - p_gen @ x
     # canonical away from the truncation corner
-    np.testing.assert_allclose(comm[: d - 1, : d - 1], hbar * np.eye(d - 1), atol=1e-12)
+    np.testing.assert_allclose(comm[: d - 1, : d - 1], np.eye(d - 1), atol=1e-12)
     # -P^2/2 + x^2 reproduces the on-site term in the interior
     h_built = -0.5 * (p_gen @ p_gen) + x @ x
-    h_ref = onsite_term(d, hbar)
+    h_ref = onsite_term(d)
     np.testing.assert_allclose(h_built[: d - 2, : d - 2], h_ref[: d - 2, : d - 2], atol=1e-12)
 
 
 def test_onsite_term():
-    h = onsite_term(2, 1.0)
+    h = onsite_term(2)
     np.testing.assert_allclose(
         h, np.diag([math.sqrt(2) / 2, 3 * math.sqrt(2) / 2]), atol=1e-12
     )
-    d, hbar = 11, 0.4
-    assert np.trace(onsite_term(d, hbar)) == pytest.approx(
-        math.sqrt(2) * hbar * d**2 / 2, rel=1e-12
-    )
+    d = 11
+    assert np.trace(onsite_term(d)) == pytest.approx(math.sqrt(2) * d**2 / 2, rel=1e-12)
     # ground entry equals the single-site chain ground energy
-    assert onsite_term(6, 2.5)[0, 0] == pytest.approx(
-        ground_energy_closed(ChainSpec(1, hbar_tilde=2.5)), abs=1e-12
+    assert onsite_term(6)[0, 0] == pytest.approx(
+        ground_energy_closed(ChainSpec(1)), abs=1e-12
     )
 
 
 def test_bond_coefficient():
-    assert bond_coefficient(1.0) == pytest.approx(-math.sqrt(2) / 4, abs=1e-12)
-    assert bond_coefficient(2.0) == pytest.approx(2 * bond_coefficient(1.0), abs=1e-12)
+    assert BOND_COEFFICIENT == pytest.approx(-math.sqrt(2) / 4, abs=1e-15)
     # equals -c^2 with c the position-operator prefactor
-    c = position_op(2, 1.7)[0, 1]
-    assert bond_coefficient(1.7) == pytest.approx(-(c**2), abs=1e-12)
+    c = _position_and_momentum(2)[0][0, 1]
+    assert c == pytest.approx(0.5946035575013605, abs=1e-15)
+    assert BOND_COEFFICIENT == pytest.approx(-(c**2), abs=1e-15)
 
 
 def test_kron_basics():
@@ -152,5 +143,5 @@ def test_project_preserves_symmetry_and_interlacing():
 def test_single_site_hamiltonian_ground_energy():
     # for one site the full Hamiltonian is the on-site term alone
     for d in (2, 5, 9):
-        h = onsite_term(d, 1.0)
+        h = onsite_term(d)
         assert np.linalg.eigvalsh(h)[0] == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
