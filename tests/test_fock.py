@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from oscdmrg import (
+    BOND_COEFFICIENT,
     ChainSpec,
     ResourceLimitError,
     SiteBasis,
-    BOND_COEFFICIENT,
     bare_site_basis,
     ground_energy_closed,
     kron,
