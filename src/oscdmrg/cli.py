@@ -241,12 +241,19 @@ def _cmd_dmrg(cfg: RunConfig) -> int:
     if result.converged:
         return EXIT_OK
     trace, tol = result.sweep_energy_trace, result.sweep_tolerances[-1]
+    alpha = result.sweep_perturbations[-1]
     energy_tol = ENERGY_TOL * spec.hbar_tilde
     missed = (f"last sweep-to-sweep |dE| {abs(trace[-1] - trace[-2]):.3g}"
               if trace.size >= 2 else "no sweep-to-sweep |dE| after one sweep")
     if trace.size >= 2 and abs(trace[-1] - trace[-2]) < energy_tol:
-        missed += (f" met energy_tol, but that sweep solved to tolerance {tol:.3g}, "
-                   f"above the {CONVERGING_TOL:.3g} a converging sweep needs")
+        refusals = []
+        if tol > CONVERGING_TOL:
+            refusals.append(f"solved to tolerance {tol:.3g}, "
+                            f"above the {CONVERGING_TOL:.3g} a converging sweep needs")
+        if alpha:
+            refusals.append(f"perturbed its density matrices by alpha {alpha:.3g}, "
+                            "which a converging sweep may not")
+        missed += " met energy_tol, but that sweep " + " and ".join(refusals)
     print(f"oscdmrg: not converged after {trace.size} sweeps: {missed}, "
           f"energy_tol {energy_tol:.3g}", file=sys.stderr)
     return EXIT_NO_CONVERGENCE

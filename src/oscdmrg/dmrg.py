@@ -76,6 +76,9 @@ _BASIS_TOL = 1e-9
 # Sweep solve tolerance: factor * |dE| of the last two sweeps, at most the cap.
 _SWEEP_TOL_FACTOR = 0.1
 _SWEEP_TOL_CAP = 1e-6
+# White's density-matrix perturbation alpha of sweeps 1, 2, 3, ...; later
+# sweeps, warmup and the measurement pass run unperturbed.
+_PERTURBATION = (1e-4, 1e-5, 1e-6)
 
 
 @dataclass(frozen=True)
@@ -129,7 +132,9 @@ class TruncationRecord:
 
     ``position`` is the 1-based site index at which the event happened;
     ``kind`` is "block" (block-basis truncation) or "site" (optimized-basis
-    refinement).
+    refinement). A perturbed block truncation records the spectrum of the
+    perturbed density matrix, so its ``discarded_weight`` is the weight of
+    the perturbation left out, > 0 even where rho itself has rank <= n.
     """
 
     position: int
@@ -163,7 +168,9 @@ class DmrgResult:
     target-averaged spectrum of the enlarged central block (the truncation
     density matrix, whose rank is capped by n times the number of targets),
     descending. ``sweep_energy_trace`` records the best ground energy seen in
-    each sweep, and ``sweep_tolerances`` the solve tolerance that sweep ran at.
+    each sweep, ``sweep_tolerances`` the solve tolerance that sweep ran at,
+    and ``sweep_perturbations`` the alpha its block truncations were perturbed
+    by (0 where none was).
     """
 
     energies: np.ndarray
@@ -175,6 +182,7 @@ class DmrgResult:
     converged: bool
     central_block_lambdas: np.ndarray
     sweep_tolerances: np.ndarray
+    sweep_perturbations: np.ndarray
 
 
 def site_operators(site: SiteBasis) -> SiteOperators:
@@ -320,6 +328,14 @@ def _weighted_factor(psi: np.ndarray, axes: tuple) -> np.ndarray:
     dim = math.prod(psi.shape[a] for a in axes)
     weight = np.sqrt(1.0 / psi.shape[3])
     return (psi * weight).transpose(axes + rest + (3,)).reshape(dim, -1)
+
+
+def _perturbed_factor(factor: np.ndarray, x: np.ndarray, alpha: float) -> np.ndarray:
+    """Factor of White's perturbed density matrix (rho + alpha x rho x^T) / tr
+    (PRB 72, 180403 (2005)), given that of rho = factor @ factor.T, tr rho = 1:
+    [M, sqrt(alpha) x M] / sqrt(1 + alpha ||x M||_F^2); rho is never formed."""
+    xm = x @ factor
+    return np.hstack([factor, math.sqrt(alpha) * xm]) / math.sqrt(1.0 + alpha * np.sum(xm**2))
 
 
 def _averaged_rdm(psi: np.ndarray, axes: tuple) -> np.ndarray:
@@ -485,6 +501,13 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
     Warmup and that pass solve to ``EIG_TOL``; sweeps 1 and 2 to 1e-6, later
     ones to 0.1 |dE| of the two sweeps before, clipped to [EIG_TOL, 1e-6].
     Only a sweep at ``CONVERGING_TOL`` or tighter may declare convergence.
+
+    Sweeps 1-3 perturb each block truncation that would otherwise discard
+    nothing (a factor of at most n columns: every one with one target, none
+    with two) by White's alpha = 1e-4, 1e-5, 1e-6. A block can then re-choose
+    its weakest kept states, and how many it keeps of each parity, from the
+    states the bond couples to; unperturbed single-site sweeps keep both. A
+    sweep that perturbed a truncation may not declare convergence either.
     """
     n_sites = spec.n_sites
     if n_sites < 3:
@@ -499,11 +522,14 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
     left: dict[int, Block] = {0: Block.empty()}
     right: dict[int, Block] = {0: Block.empty()}
     guess = None
+    alpha, perturbed = 0.0, False
 
     def move(p: int, psi_fin: np.ndarray, rightward: bool) -> None:
         """Absorb site p into the block on its left (rightward) or right,
         truncating to n states of the averaged density matrix, from its
-        factor."""
+        factor; perturbed by ``alpha`` where the factor has at most n
+        columns."""
+        nonlocal perturbed
         if rightward:
             blocks, j, axes = left, p, (0, 1)
         else:
@@ -511,6 +537,9 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
         enlarged = enlarge_block(blocks[j], bases[p])
         if enlarged.basis_dim > n:
             factor = _weighted_factor(psi_fin, axes)
+            if alpha and factor.shape[1] <= n:
+                factor = _perturbed_factor(factor, enlarged.edge_x, alpha)
+                perturbed = True
             enlarged, rec = truncate_block(enlarged, factor, n, position=p + 1)
             records.append(rec)
         blocks[j + 1] = enlarged
@@ -585,20 +614,25 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
     # to site 1; later sweeps start at site 1.
     sweep_trace: list[float] = []
     sweep_tols: list[float] = []
+    sweep_alphas: list[float] = []
     prev_best = math.inf
     converged = False
     back = list(range(n_sites - 2, -1, -1))
     sites = list(range(length, n_sites)) + back
-    for _sweep in range(config.n_sweeps):
+    for sweep in range(config.n_sweeps):
         tol = _sweep_tolerance(sweep_trace)
         sweep_tols.append(tol)
+        alpha = _PERTURBATION[sweep] if sweep < len(_PERTURBATION) else 0.0
+        perturbed = False
         best = min(eig.values[0] for _p, eig, *_rest in visit(sites, tol))
         sweep_trace.append(best)
-        if abs(prev_best - best) < ENERGY_TOL and tol <= CONVERGING_TOL:
+        sweep_alphas.append(alpha if perturbed else 0.0)
+        if abs(prev_best - best) < ENERGY_TOL and tol <= CONVERGING_TOL and not perturbed:
             converged = True
             break
         prev_best = best
         sites = list(range(n_sites)) + back
+    alpha = 0.0
 
     # Measurement pass: entropies per site, energies at the central site.
     site_entropies = np.zeros(n_sites)
@@ -624,4 +658,5 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
         converged=converged,
         central_block_lambdas=central_block_lams,
         sweep_tolerances=np.array(sweep_tols),
+        sweep_perturbations=np.array(sweep_alphas),
     )

@@ -226,6 +226,24 @@ def test_dmrg_non_convergence_names_a_loose_sweep_tolerance(capsys, monkeypatch)
     assert "energy_tol 1e-08" in err
 
 
+def test_dmrg_non_convergence_names_a_perturbed_last_sweep(capsys):
+    # sweep 3 meets energy_tol at a solve tolerance below 1e-7, but it still
+    # perturbs its block truncations (alpha 1e-6), so it may not declare
+    args = ["dmrg", "--N", "5", "--m", "8", "--n", "8", "--n1", "2", "--sweeps", "3"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    _, rows = parse_csv(out)
+    assert {r["quantity"]: r["value"] for r in rows}["converged"] == "false"
+    result = oscdmrg.run_dmrg(oscdmrg.ChainSpec(5, 1.0, 8),
+                              oscdmrg.DmrgConfig(kept_states=8, feed_size=2, n_sweeps=3))
+    trace = result.sweep_energy_trace
+    delta = abs(trace[-1] - trace[-2])
+    assert delta < 1e-8 and result.sweep_tolerances[-1] <= 1e-7
+    assert f"|dE| {delta:.3g} met energy_tol" in err
+    assert "perturbed its density matrices by alpha 1e-06" in err
+    assert "solved to tolerance" not in err
+
+
 def test_dmrg_non_convergence_names_the_tolerance_in_units_of_hbar(capsys):
     # the engine's energy_tol applies to the chain at hbar = 1, so the
     # reported sweep energies at hbar = 2 are held to 2 * 1e-8

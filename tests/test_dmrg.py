@@ -341,6 +341,92 @@ def test_a_loose_sweep_cannot_declare_convergence(monkeypatch):
     np.testing.assert_array_equal(loose.sweep_tolerances, np.full(cfg.n_sweeps, 1e-6))
 
 
+def test_a_perturbed_sweep_cannot_declare_convergence(monkeypatch):
+    # on this lossless single-target chain sweep 3 meets ENERGY_TOL at a
+    # tolerance below CONVERGING_TOL, but it is perturbed; sweep 4 is not
+    import oscdmrg.dmrg as dmrg_mod
+
+    spec = ChainSpec(5, 1.0, 8)
+    cfg = DmrgConfig(kept_states=8, feed_size=2)
+    result = run_dmrg(spec, cfg)
+    trace, tols = result.sweep_energy_trace, result.sweep_tolerances
+    np.testing.assert_array_equal(result.sweep_perturbations, [1e-4, 1e-5, 1e-6, 0.0])
+    assert result.converged
+    assert abs(trace[2] - trace[1]) < dmrg_mod.ENERGY_TOL
+    assert tols[2] <= dmrg_mod.CONVERGING_TOL
+
+    # perturbed throughout, no sweep may declare
+    monkeypatch.setattr(dmrg_mod, "_PERTURBATION", (1e-6,) * cfg.n_sweeps)
+    always = run_dmrg(spec, cfg)
+    assert not always.converged
+    np.testing.assert_array_equal(always.sweep_perturbations, np.full(cfg.n_sweeps, 1e-6))
+    trace = always.sweep_energy_trace
+    assert abs(trace[-1] - trace[-2]) < dmrg_mod.ENERGY_TOL
+    assert always.sweep_tolerances[-1] <= dmrg_mod.CONVERGING_TOL
+
+
+def test_two_target_runs_are_never_perturbed(monkeypatch):
+    # with two targets every block factor has more than n columns, so the
+    # perturbation schedule changes nothing
+    import oscdmrg.dmrg as dmrg_mod
+
+    spec = ChainSpec(8, 1.0, 8)
+    cfg = DmrgConfig(kept_states=4, feed_size=2, n_targets=2)
+    scheduled = run_dmrg(spec, cfg)
+    monkeypatch.setattr(dmrg_mod, "_PERTURBATION", ())
+    plain = run_dmrg(spec, cfg)
+    np.testing.assert_array_equal(scheduled.sweep_perturbations, 0.0)
+    for name in ("energies", "sweep_energy_trace", "sweep_tolerances", "site_entropies"):
+        assert np.array_equal(getattr(scheduled, name), getattr(plain, name))
+    assert scheduled.converged == plain.converged
+
+
+def test_perturbed_truncations_record_the_perturbed_spectrum(monkeypatch):
+    # a single-target density matrix has rank <= n, so unperturbed block
+    # truncations discard nothing; the perturbed ones of sweeps 1-3 record
+    # the spectrum of rho', whose weight beyond n is > 0
+    import oscdmrg.dmrg as dmrg_mod
+
+    pending, tagged = [], []
+    perturbed_factor, truncate = dmrg_mod._perturbed_factor, dmrg_mod.truncate_block
+
+    def marking(*args):
+        pending.append(True)
+        return perturbed_factor(*args)
+
+    def tagging(*args, **kwargs):
+        new, rec = truncate(*args, **kwargs)
+        tagged.append((bool(pending and pending.pop()), rec))
+        return new, rec
+
+    monkeypatch.setattr(dmrg_mod, "_perturbed_factor", marking)
+    monkeypatch.setattr(dmrg_mod, "truncate_block", tagging)
+    result = run_dmrg(ChainSpec(8, 1.0, 8), DmrgConfig(kept_states=4, optimized=False))
+    assert [rec for _p, rec in tagged] == result.truncation_records
+    perturbed = [rec for p, rec in tagged if p]
+    plain = [rec for p, rec in tagged if not p]
+    assert perturbed and plain
+    for rec in perturbed:
+        assert rec.discarded_weight > 1e-12
+        assert rec.lambdas.sum() == pytest.approx(1.0, abs=1e-12)
+    for rec in plain:
+        assert abs(rec.discarded_weight) <= 1e-12
+
+
+def test_bare_single_target_converges_within_default_sweeps():
+    # the bare-scan n=12 point: the perturbation re-chooses the near-null
+    # block states, so every seed converges to the same state in 6 sweeps
+    spec = ChainSpec(30, 1.0, 14)
+    e0 = []
+    for seed in (1, 2, 3):
+        result = run_dmrg(spec, DmrgConfig(kept_states=12, optimized=False, seed=seed))
+        assert result.converged
+        assert result.sweep_energy_trace.size <= 6
+        e0.append(result.energies[0])
+    assert max(e0) - min(e0) <= 1e-8
+    assert max(e0) <= 19.23128015
+
+
 def test_sweep_tolerance_schedule_keeps_converged_answers(monkeypatch):
     # the schedule against every sweep solve at EIG_TOL, on a configuration
     # that converges either way
@@ -403,7 +489,8 @@ def test_run_dmrg_hbar_scaling():
     r3 = run_dmrg(ChainSpec(4, 3.0, 6), cfg)
     assert np.array_equal(r3.energies, 3.0 * r1.energies)
     assert np.array_equal(r3.sweep_energy_trace, 3.0 * r1.sweep_energy_trace)
-    for name in ("site_entropies", "central_block_lambdas", "sweep_tolerances"):
+    for name in ("site_entropies", "central_block_lambdas", "sweep_tolerances",
+                 "sweep_perturbations"):
         assert np.array_equal(getattr(r3, name), getattr(r1, name))
     assert r3.converged == r1.converged
 
