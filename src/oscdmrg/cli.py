@@ -33,6 +33,9 @@ EXIT_USAGE = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_CONFIG = 3
 
+# Leading eigenvalues that rdm-table prints per number of targets.
+_RDM_RANKS = 20
+
 
 class _UsageError(Exception):
     pass
@@ -302,15 +305,15 @@ def _cmd_scan_size(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_rdm_table(cfg: RunConfig, n_ranks: int = 20) -> int:
+def _cmd_rdm_table(cfg: RunConfig) -> int:
     # The tabulated spectrum is the target-averaged density matrix of the
     # enlarged central block, i.e. the truncation density matrix; its rank
     # is capped by n times the number of targeted states.
     spec = cfg.chain_spec()
     columns = ["rank"] + [f"lambda_ntar{t}" for t in range(1, 6)]
-    table = np.zeros((n_ranks, 5))
+    table = np.zeros((_RDM_RANKS, 5))
     for t in range(1, 6):
-        found = run_dmrg(spec, cfg.dmrg_config(n_targets=t)).central_block_lambdas[:n_ranks]
+        found = run_dmrg(spec, cfg.dmrg_config(n_targets=t)).central_block_lambdas[:_RDM_RANKS]
         # Zero out the machine floor.
         table[: found.size, t - 1] = np.where(np.abs(found) < 1e-14, 0.0, found)
     rows = [dict(zip(columns, [r + 1, *map(float, lams)])) for r, lams in enumerate(table)]

@@ -364,17 +364,17 @@ def _feed_columns(basis: np.ndarray, group: list[int], m: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _refine_site_basis(
+def optimize_site_basis(
     config: DmrgConfig,
     left: Block,
     right: Block,
     basis: SiteBasis,
-    position: int,
+    position: int = 1,
     tol: float = EIG_TOL,
-    max_cycles: int | None = None,
     guess: np.ndarray | None = None,
-):
-    """Optimized-basis refinement at one site (the feed loop).
+) -> tuple[SiteBasis, TruncationRecord | None, EigResult, np.ndarray]:
+    """Solve the superblock at one free site; in optimized mode, refine
+    its basis (the feed loop).
 
     Cycles groups of ``feed_size`` bare states through the site basis, in
     index order, or the states the basis holds least of first when one
@@ -383,18 +383,18 @@ def _refine_site_basis(
     is solved for the targeted states, and the n dominant eigenvectors of
     the averaged site density matrix become the new basis.
     Stops when the ground energy changes by less than 1e-9 over a full
-    cycle, or when a cycle leaves the kept subspace unchanged. A solve
-    whose augmented basis spans all m bare states (n + feed_size >= m) ends
-    the visit: its site is untruncated, so its n dominant states are exactly
-    the fixed point; later groups would re-solve it or a strict subspace. In
-    bare mode (``optimized`` off) the loop runs one empty group: a single
-    solve in the given basis, which is kept as it is. Every solve runs to
-    ``tol``. ``guess`` (dim_L, kept_dim, dim_R, k), a wavefunction in the
-    given basis, warm-starts the first solve; later solves start from the
-    previous one.
+    cycle, when a cycle leaves the kept subspace unchanged, or after
+    ``_MAX_REFINE_CYCLES`` cycles. A solve whose augmented basis spans all m
+    bare states (n + feed_size >= m) ends the visit: its site is
+    untruncated, so its n dominant states are exactly the fixed point;
+    later groups would re-solve it or a strict subspace. In bare mode
+    (``optimized`` off) nothing is fed: one solve in the given basis, which
+    is kept. Every solve runs to ``tol``. ``guess`` (dim_L, kept_dim, dim_R,
+    k), a wavefunction in the given basis, warm-starts the first solve;
+    later solves start from the previous one.
 
-    Returns (basis, last record, last EigResult, last psi tensor, last
-    site-truncation matrix mapping the augmented basis onto the kept one).
+    Returns (basis, last site record or None in bare mode, last EigResult,
+    last solution with its site leg on the m bare states).
     """
     m = basis.bare_dim
     n = basis.kept_dim
@@ -406,32 +406,25 @@ def _refine_site_basis(
         # With n + n1 < m the fixed point depends on the feed order.
         order = np.argsort(np.sum(b_cur**2, axis=1), kind="stable")
     groups = [order[s:s + n1] for s in range(0, m, n1)] if n1 else [[]]
-    if max_cycles is None:
-        max_cycles = _MAX_REFINE_CYCLES
-    elif max_cycles < 1:
-        raise ValueError("max_cycles must be >= 1")
 
-    eig = None
+    eig = record = None
     prev_energy = None
-    prev_psi_bare = None
+    psi_bare = None
     if guess is not None:
-        prev_psi_bare = np.tensordot(guess, b_cur, axes=(1, 1)).transpose(0, 3, 1, 2)
-    for _cycle in range(max_cycles):
-        fed_any = False
+        psi_bare = np.tensordot(guess, b_cur, axes=(1, 1)).transpose(0, 3, 1, 2)
+    for _cycle in range(_MAX_REFINE_CYCLES):
         cycle_start = b_cur
         for group in groups:
             extra = _feed_columns(b_cur, group, m)
             if extra.shape[1] == 0 and eig is not None:
                 continue
-            fed_any = fed_any or extra.shape[1] > 0
             b_aug = np.hstack([b_cur, extra])
-            aug = SiteBasis(m, b_aug.shape[1], b_aug)
-            ops = site_operators(aug)
+            ops = site_operators(SiteBasis(m, b_aug.shape[1], b_aug))
             v0 = None
-            if prev_psi_bare is not None:
+            if psi_bare is not None:
                 # Transport the previous solutions into the new site basis;
                 # pure iteration warm start, deterministic.
-                guess = np.tensordot(prev_psi_bare, b_aug, axes=(1, 0))
+                guess = np.tensordot(psi_bare, b_aug, axes=(1, 0))
                 v0 = guess.transpose(0, 3, 1, 2).reshape(-1, guess.shape[2])
             try:
                 eig, psi = superblock_solve(left, ops, right, config, tol, v0)
@@ -440,47 +433,24 @@ def _refine_site_basis(
                     f"superblock solve failed at site {position}: {err}",
                     residual_norms=err.residual_norms,
                 ) from err
+            psi_bare = np.tensordot(psi, b_aug, axes=(1, 1)).transpose(0, 3, 1, 2)
+            if not n1:
+                return basis, None, eig, psi_bare
             site_eig = dense_sym_eig(_averaged_rdm(psi, (1,)))
             v_dom, record = _dominant_states(
                 site_eig.values[::-1], site_eig.vectors[:, ::-1], n, position, "site"
             )
-            v_keep = v_dom if n1 else np.eye(n)
-            b_cur = b_aug @ v_keep
-            prev_psi_bare = np.tensordot(psi, b_aug, axes=(1, 1)).transpose(0, 3, 1, 2)
-            full_space = b_aug.shape[1] == m
-            if full_space:
-                break
+            b_cur = b_aug @ v_dom
+            if b_aug.shape[1] == m:
+                return SiteBasis(m, n, b_cur), record, eig, psi_bare
         energy = eig.values[0]
-        if not fed_any or full_space:
-            break
         if prev_energy is not None and abs(energy - prev_energy) < _BASIS_TOL:
             break
         drift = n - np.linalg.norm(cycle_start.T @ b_cur) ** 2
         if drift < _BASIS_DRIFT_TOL:
             break
         prev_energy = energy
-    return SiteBasis(m, n, b_cur), record, eig, psi, v_keep
-
-
-def optimize_site_basis(
-    config: DmrgConfig,
-    left: Block,
-    right: Block,
-    current: SiteBasis,
-    position: int = 1,
-    max_cycles: int | None = None,
-) -> tuple[SiteBasis, TruncationRecord]:
-    """Refine the free site's basis between the given blocks.
-
-    Returns the final basis and the truncation record of the last
-    refinement step (full averaged-density-matrix spectrum, descending).
-    ``max_cycles`` caps the number of feed cycles (mainly for inspecting
-    per-cycle behavior; the default runs to the feed loop's own stop rules).
-    """
-    new_basis, record, _eig, _psi, _vk = _refine_site_basis(
-        config, left, right, current, position, max_cycles=max_cycles
-    )
-    return new_basis, record
+    return SiteBasis(m, n, b_cur), record, eig, psi_bare
 
 
 def _sweep_tolerance(trace: list[float]) -> float:
@@ -569,26 +539,27 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
         """Solve (and refine, in optimized mode) at each free site of
         ``sites`` (0-based) in turn to ``tol``, warm-started from ``guess``.
 
-        Yields (p, eig, psi in the augmented site basis, psi_fin in the
-        final n-dim one with normalized columns). After each visit the state
-        becomes the next ``guess``: stepped toward the next site, or as it is
-        when the next visit is the same site. ``then`` is the first site of
-        the pass after this one (every pass after the first sweep starts at
-        p = 0), or None when no pass follows."""
+        Yields (p, eig, the solution with its site leg on the m bare
+        states, psi_fin in the final n-dim basis with normalized columns).
+        After each visit the state becomes the next ``guess``: stepped toward
+        the next site, or as it is when the next visit is the same site.
+        ``then`` is the first site of the pass after this one (every pass
+        after the first sweep starts at p = 0), or None when no pass
+        follows."""
         nonlocal guess
         for p, nxt in zip(sites, [*sites[1:], then]):
-            bases[p], rec, eig, psi, v_keep = _refine_site_basis(
+            bases[p], rec, eig, sol = optimize_site_basis(
                 config, left[p], right[n_sites - p - 1], bases[p],
                 position=p + 1, tol=tol, guess=guess,
             )
-            if config.optimized:
+            if rec is not None:
                 records.append(rec)
-            psi_fin = np.tensordot(psi, v_keep, axes=(1, 0)).transpose(0, 3, 1, 2)
+            psi_fin = np.tensordot(sol, bases[p].transform, axes=(1, 0)).transpose(0, 3, 1, 2)
             for j in range(psi_fin.shape[3]):
                 nrm = np.linalg.norm(psi_fin[..., j])
                 if nrm > 0:
                     psi_fin[..., j] /= nrm
-            yield p, eig, psi, psi_fin
+            yield p, eig, sol, psi_fin
             if nxt == p:
                 guess = psi_fin
             elif nxt is not None:
@@ -637,8 +608,8 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
     # Measurement pass: entropies per site, energies at the central site.
     site_entropies = np.zeros(n_sites)
     central = (n_sites - 1) // 2
-    for p, eig, psi, psi_fin in visit(list(range(n_sites)), EIG_TOL, None):
-        site_entropies[p] = von_neumann(_averaged_rdm(psi[..., :1], (1,)))
+    for p, eig, sol, psi_fin in visit(list(range(n_sites)), EIG_TOL, None):
+        site_entropies[p] = von_neumann(_averaged_rdm(sol[..., :1], (1,)))
         if p == central:
             energies = eig.values
             factor = _weighted_factor(psi_fin, (0, 1))

@@ -36,6 +36,8 @@ _DENSE_CUTOFF = 128
 _CHECK_EVERY = 5
 # Basis columns a thick restart rotates at a time, bounding its temporary.
 _RESTART_COLS = 4096
+# Matrix-vector products after which an unconverged solve gives up.
+_MAX_MATVECS = 2000
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,6 @@ def lowest_k(
     dim: int,
     k: int,
     tol: float = 1e-10,
-    max_iter: int = 2000,
     seed: int = 0,
     v0: np.ndarray | None = None,
 ) -> EigResult:
@@ -86,8 +87,8 @@ def lowest_k(
     ``apply`` is the one operator: it maps a ``(dim, j)`` block to
     H @ block, every column at once, and must be symmetric (the caller's
     contract). Convergence requires every residual to satisfy
-    ``||H v - lambda v|| <= tol * max(1, |lambda|)``. ``max_iter`` caps the
-    number of matrix-vector products; exceeding it raises
+    ``||H v - lambda v|| <= tol * max(1, |lambda|)``. After
+    ``_MAX_MATVECS`` matrix-vector products it raises
     :class:`ConvergenceError` carrying the current residual norms.
 
     Deterministic for a fixed seed: the starting block is drawn from a
@@ -103,7 +104,7 @@ def lowest_k(
         raise ValueError(f"tol must be > 0, got {tol}")
     rng = np.random.default_rng(seed)
 
-    if dim <= _DENSE_CUTOFF and max_iter >= dim:
+    if dim <= _DENSE_CUTOFF:
         # Saturate the Krylov space outright: with full reorthogonalization
         # the basis would reach the whole space anyway at this size, and one
         # batched application is far cheaper than iterating toward it.
@@ -163,7 +164,7 @@ def lowest_k(
             block, beta = block.T, sig[:, None] * vt
         del w  # so that it is not held through the next product
         full = p + k > width
-        if full or matvecs >= max_iter or steps - checked >= _CHECK_EVERY:
+        if full or matvecs >= _MAX_MATVECS or steps - checked >= _CHECK_EVERY:
             checked = steps
             vals, s_mat = np.linalg.eigh(t_mat[:p, :p])
             lam = vals[:k]
@@ -179,7 +180,7 @@ def lowest_k(
                 if np.all(rnorm <= bound):
                     return EigResult(values=lam.copy(), vectors=x_vecs,
                                      residual_norms=rnorm, iterations=matvecs)
-            if matvecs >= max_iter:
+            if matvecs >= _MAX_MATVECS:
                 raise ConvergenceError(
                     f"no convergence after {matvecs} matvecs "
                     f"(worst residual {rnorm.max():.3e})",

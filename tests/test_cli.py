@@ -284,6 +284,31 @@ def test_scan_basis_schema_and_determinism(tmp_path, capsys):
         assert float(r["rel_err"]) >= 0.0
 
 
+def test_dmrg_failed_solve_exits_two(fail_dmrg_solve, capsys):
+    # the sixth solve is sweep 1's second visit of site 5
+    fail_dmrg_solve(6)
+    code, out, err = run_cli(["dmrg", "--N", "6", "--m", "4", "--n", "3",
+                              "--basis-mode", "bare"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "solver did not converge" in err
+    assert "superblock solve failed at site 5" in err
+
+
+def test_scan_basis_reports_a_failed_point_and_goes_on(fail_dmrg_solve, capsys):
+    # the first solve is the warmup solve of the first point, n=2
+    fail_dmrg_solve(1)
+    code, out, _ = run_cli(["scan-basis", "--N", "6", "--m", "4", "--n-list", "2,3",
+                            "--basis-mode", "bare", "--sweeps", "2"], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [r["n"] for r in rows] == ["2", "3"]
+    assert rows[0]["status"].startswith("error: warmup solve failed at site 2: ")
+    assert rows[0]["E_dmrg"] == ""
+    assert rows[1]["status"] in ("ok", "not-converged")
+    assert float(rows[1]["E_dmrg"]) > 0
+
+
 def test_scan_basis_single_mode(capsys):
     code, out, _ = run_cli(
         ["scan-basis", "--N", "4", "--m", "6", "--n-list", "4",

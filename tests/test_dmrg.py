@@ -517,7 +517,7 @@ def test_optimize_site_basis_full_bare_space_is_rotation():
     left = enlarge_block(Block.empty(), full)
     right = enlarge_block(Block.empty(), full)
     cfg = DmrgConfig(kept_states=m, feed_size=2, n_targets=1)
-    basis, record = optimize_site_basis(cfg, left, right, full, position=2)
+    basis, record, _eig, _sol = optimize_site_basis(cfg, left, right, full, position=2)
     assert basis.kept_dim == m
     # spans the full space: the transform is orthogonal (identity up to rotation)
     np.testing.assert_allclose(
@@ -529,19 +529,46 @@ def test_optimize_site_basis_full_bare_space_is_rotation():
     ops = site_operators(full)
     res, _ = superblock_solve(left, ops, right, cfg)
     e_ed = res.values[0]
-    basis2, _rec = optimize_site_basis(cfg, left, right, full, position=2)
+    basis2, _rec, _eig, _sol = optimize_site_basis(cfg, left, right, full, position=2)
     ops2 = site_operators(basis2)
     res2, _ = superblock_solve(left, ops2, right, cfg)
     assert res2.values[0] == pytest.approx(e_ed, abs=1e-10)
 
 
-def test_refinement_converges_to_unique_fixed_point():
+def test_optimize_site_basis_returns_the_state_on_the_bare_basis():
+    # the solution's site leg is on the m bare states: there it has the
+    # solved energy under the m-state superblock. Bare mode keeps the basis
+    # and records no site truncation.
+    from oscdmrg.dmrg import _superblock_matvec
+
+    m, n = 6, 4
+    start = bare_site_basis(m, n)
+    left = enlarge_block(Block.empty(), start)
+    apply, _dims = _superblock_matvec(left, site_operators(bare_site_basis(m, m)), left)
+    for optimized in (False, True):
+        cfg = DmrgConfig(kept_states=n, feed_size=2, optimized=optimized)
+        basis, record, eig, sol = optimize_site_basis(cfg, left, left, start, position=2)
+        assert sol.shape == (n, m, n, 1)
+        v = sol.reshape(-1, 1)
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        assert (v.T @ apply(v)).item() == pytest.approx(eig.values[0], abs=1e-10)
+        if optimized:
+            assert record.kind == "site" and basis.kept_dim == n
+        else:
+            assert record is None and basis is start
+
+
+def test_refinement_converges_to_unique_fixed_point(monkeypatch):
     # the feed loop at fixed blocks is a fixed-point iteration: per-cycle
     # discarded weights stabilize, and unrelated starting bases land on the
     # same kept subspace. (Monitored runs show the weight converges toward
     # its fixed point from either side, so only stabilization is asserted.)
+    # The cycle cap is lowered to one, so each call is one feed cycle.
+    import oscdmrg.dmrg as dmrg_mod
     from oscdmrg import SiteBasis
     from oscdmrg.dmrg import _weighted_factor
+
+    monkeypatch.setattr(dmrg_mod, "_MAX_REFINE_CYCLES", 1)
 
     cfg = DmrgConfig(kept_states=4, feed_size=2, n_targets=1)
     full = bare_site_basis(10, 4)
@@ -557,8 +584,8 @@ def test_refinement_converges_to_unique_fixed_point():
     for label, start in (("bare", full), ("random", SiteBasis(10, 4, rand_cols))):
         basis, weights = bare_site_basis(10, 4) if label == "bare" else start, []
         for _cycle in range(10):
-            basis, rec = optimize_site_basis(cfg, left2, left2, basis, position=3,
-                                             max_cycles=1)
+            basis, rec, _eig, _sol = optimize_site_basis(cfg, left2, left2, basis,
+                                                         position=3)
             weights.append(rec.discarded_weight)
         assert abs(weights[-1] - weights[-2]) <= 1e-12
         finals[label] = (basis, weights[-1])
@@ -602,8 +629,8 @@ def test_refinement_stops_at_first_full_space_solve(monkeypatch):
     rng = np.random.default_rng(3)
     rand_cols = np.linalg.qr(rng.standard_normal((m, n)))[0]
     calls = _counting_lowest_k(monkeypatch)
-    basis, record = optimize_site_basis(cfg, left2, left2, SiteBasis(m, n, rand_cols),
-                                        position=3)
+    basis, record, _eig, _sol = optimize_site_basis(cfg, left2, left2,
+                                                    SiteBasis(m, n, rand_cols), position=3)
     assert calls[0] == 1
 
     _eig, psi_full = superblock_solve(
@@ -617,13 +644,28 @@ def test_refinement_stops_at_first_full_space_solve(monkeypatch):
     assert record.discarded_weight == pytest.approx(lam[: m - n].sum(), abs=1e-10)
 
 
+@pytest.mark.parametrize("fail_at,where", [
+    (2, "warmup solve failed at site 3"),
+    # sweep 1 visits sites 4, 5, 6 and then 5 again
+    (6, "superblock solve failed at site 5"),
+])
+def test_failed_solve_names_its_site(fail_dmrg_solve, fail_at, where):
+    from oscdmrg import ConvergenceError
+
+    residuals = fail_dmrg_solve(fail_at)
+    with pytest.raises(ConvergenceError, match=where) as info:
+        run_dmrg(ChainSpec(6, 1.0, 4), DmrgConfig(kept_states=3, optimized=False))
+    assert "no convergence after 2000 matvecs" in str(info.value)
+    assert np.array_equal(info.value.residual_norms, residuals)
+
+
 def _solves_per_visit(monkeypatch, spec, cfg):
     """lowest_k calls of each site visit of run_dmrg, in visit order, and
     the index of the first visit after the first sweep."""
     import oscdmrg.dmrg as dmrg_mod
 
     calls = _counting_lowest_k(monkeypatch)
-    refine = dmrg_mod._refine_site_basis
+    refine = dmrg_mod.optimize_site_basis
     visits = []
 
     def counted_visit(*args, **kwargs):
@@ -632,7 +674,7 @@ def _solves_per_visit(monkeypatch, spec, cfg):
         visits.append((kwargs["position"], calls[0] - before))
         return out
 
-    monkeypatch.setattr(dmrg_mod, "_refine_site_basis", counted_visit)
+    monkeypatch.setattr(dmrg_mod, "optimize_site_basis", counted_visit)
     run_dmrg(spec, cfg)
     # the first sweep ends at its leftward visit of site 1
     first_sweep_end = [pos for pos, _ in visits].index(1)
