@@ -231,15 +231,11 @@ def _dominant_states(
     return vecs[:, :n].copy(), record
 
 
-def truncate_block(
-    block: Block, factor: np.ndarray, n: int, position: int = 0
-) -> tuple[Block, TruncationRecord]:
-    """Rotate the block into the n dominant eigenvectors of its averaged
-    reduced density matrix, given as a factor (rho = factor @ factor.T):
-    the factor's leading left singular vectors; the spectrum is its squared
-    singular values. ``n == basis_dim`` is a pure rotation."""
+def _kept_states(factor, dim: int, n: int, position: int) -> tuple[np.ndarray, TruncationRecord]:
+    """The n dominant eigenvectors of a block's averaged reduced density
+    matrix, given as a factor on ``dim`` rows (rho = factor @ factor.T): its
+    leading left singular vectors; the spectrum is its squared singular values."""
     factor = np.asarray(factor, dtype=float)
-    dim = block.basis_dim
     if factor.ndim != 2 or factor.shape[0] != dim:
         raise ValueError(f"factor shape {factor.shape} does not have {dim} rows")
     if not np.all(np.isfinite(factor)):
@@ -249,18 +245,29 @@ def truncate_block(
     # With fewer columns than kept states, the full U completes the kept set
     # from the null space of rho.
     u, sig, _vt = np.linalg.svd(factor, full_matrices=factor.shape[1] < n)
-    lam = np.pad(sig**2, (0, dim - sig.size))
-    v, record = _dominant_states(lam, u, n, position, "block")
-    h = v.T @ block.hamiltonian @ v
-    x = v.T @ block.edge_x @ v
-    new = Block(
-        length=block.length,
-        basis_dim=n,
-        hamiltonian=0.5 * (h + h.T),
-        edge_x=0.5 * (x + x.T),
-        rotation=v,
-    )
-    return new, record
+    lam = np.concatenate([sig**2, np.zeros(dim - sig.size)])
+    return _dominant_states(lam, u, n, position, "block")
+
+
+def truncate_block(
+    block: Block, site: SiteBasis, factor: np.ndarray, n: int, position: int = 0
+) -> tuple[Block, TruncationRecord]:
+    """Absorb ``site`` into ``block``, keeping the n states V of ``_kept_states``
+    of a factor on (block, site) rows. Each term of ``enlarge_block``'s H' and
+    edge' is projected through V as (block, site, n), by one GEMM for the
+    block pair and one site GEMM batched over the block leg, never formed."""
+    ops = site_operators(site)
+    db, ds = block.basis_dim, ops.dim
+    dim = db * ds
+    v, record = _kept_states(factor, dim, n, position)
+    he = (np.vstack([block.hamiltonian, block.edge_x]) @ v.reshape(db, -1)).reshape(2, db, ds, n)
+    # Site rows [h, g x; x, 0] on [V; edge_x V]: the site and bond terms of H'V; edge'V.
+    site_hx = np.vstack([np.hstack([ops.h, BOND_COEFFICIENT * ops.x]),
+                         np.hstack([ops.x, np.zeros((ds, ds))])])
+    hx = site_hx @ np.concatenate([v.reshape(db, ds, n), he[1]], axis=1)
+    hx[:, :ds] += he[0]
+    h, x = v.T @ hx[:, :ds].reshape(dim, n), v.T @ hx[:, ds:].reshape(dim, n)
+    return Block(block.length + 1, n, 0.5 * (h + h.T), 0.5 * (x + x.T), v), record
 
 
 def _superblock_matvec(left: Block, ops: SiteOperators, right: Block, k: int = 1):
@@ -331,10 +338,10 @@ def _weighted_factor(psi: np.ndarray, axes: tuple) -> np.ndarray:
 
 
 def _perturbed_factor(factor: np.ndarray, x: np.ndarray, alpha: float) -> np.ndarray:
-    """Factor of White's perturbed density matrix (rho + alpha x rho x^T) / tr
-    (PRB 72, 180403 (2005)), given that of rho = factor @ factor.T, tr rho = 1:
-    [M, sqrt(alpha) x M] / sqrt(1 + alpha ||x M||_F^2); rho is never formed."""
-    xm = x @ factor
+    """Factor of White's perturbed density matrix (rho + alpha X rho X^T) / tr
+    (PRB 72, 180403 (2005)), X = 1 (x) x the site's x, given that of rho = M M^T
+    on (block, site) rows, tr rho = 1: [M, sqrt(alpha) X M] / sqrt(1 + alpha ||X M||_F^2)."""
+    xm = (x @ factor.reshape(-1, x.shape[0], factor.shape[1])).reshape(factor.shape)
     return np.hstack([factor, math.sqrt(alpha) * xm]) / math.sqrt(1.0 + alpha * np.sum(xm**2))
 
 
@@ -504,15 +511,16 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
             blocks, j, axes = left, p, (0, 1)
         else:
             blocks, j, axes = right, n_sites - p - 1, (2, 1)
-        enlarged = enlarge_block(blocks[j], bases[p])
-        if enlarged.basis_dim > n:
-            factor = _weighted_factor(psi_fin, axes)
-            if alpha and factor.shape[1] <= n:
-                factor = _perturbed_factor(factor, enlarged.edge_x, alpha)
-                perturbed = True
-            enlarged, rec = truncate_block(enlarged, factor, n, position=p + 1)
-            records.append(rec)
-        blocks[j + 1] = enlarged
+        block, site = blocks[j], bases[p]
+        if block.basis_dim * site.kept_dim <= n:
+            blocks[j + 1] = enlarge_block(block, site)
+            return
+        factor = _weighted_factor(psi_fin, axes)
+        if alpha and factor.shape[1] <= n:
+            factor = _perturbed_factor(factor, site_operators(site).x, alpha)
+            perturbed = True
+        blocks[j + 1], rec = truncate_block(block, site, factor, n, position=p + 1)
+        records.append(rec)
 
     def step(p: int, psi_fin: np.ndarray, rightward: bool) -> np.ndarray:
         """move(p, psi_fin, rightward), then psi_fin rotated into the
@@ -565,7 +573,9 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
             elif nxt is not None:
                 guess = step(p, psi_fin, rightward=nxt > p)
 
-    # Warmup: grow against the mirror environment (bases are still uniform).
+    # Warmup: grow against the mirror environment (bases are still uniform),
+    # projecting the enlarged operators: its solves start cold from seeded
+    # vectors in the block basis, whose SVD signs flip with any change in rounding.
     left[1] = right[1] = enlarge_block(left[0], bases[0])
     length = 1
     while n_sites - length - 1 > length:
@@ -577,8 +587,13 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
                 f"warmup solve failed at site {length + 1}: {err}",
                 residual_norms=err.residual_norms,
             ) from err
-        move(length, psi, rightward=True)
-        right[length + 1] = left[length + 1]
+        big = enlarge_block(left[length], bases[length])
+        if big.basis_dim > n:
+            v, rec = _kept_states(_weighted_factor(psi, (0, 1)), big.basis_dim, n, length + 1)
+            h, x = v.T @ big.hamiltonian @ v, v.T @ big.edge_x @ v
+            big = Block(big.length, n, 0.5 * (h + h.T), 0.5 * (x + x.T), v)
+            records.append(rec)
+        left[length + 1] = right[length + 1] = big
         length += 1
 
     # Finite-system sweeps: rightward from where warmup stopped, then back

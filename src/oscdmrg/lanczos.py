@@ -1,23 +1,24 @@
 """Symmetric eigensolvers.
 
 ``dense_sym_eig`` wraps the LAPACK full decomposition, used for density
-matrices. ``lowest_k`` needs only the operator's
-action on a block of vectors, for superblock and exact diagonalizations
-where the operator is never materialized. Above ``_DENSE_CUTOFF`` it is a
-thick-restart block Lanczos on a basis stored one vector per row. A step
-applies the operator to the newest block (as ``rows.T``), projects the
-result first on the rows it can reach (the previous block and itself;
-after a thick restart, every kept Ritz vector) and then once on the whole
-basis, adds both projections into the projected matrix, and splits off the
-next block by an SVD (a norm, for one row). Full reorthogonalization keeps
-ghost eigenvalues out of the density-matrix spectra downstream. Every few
-steps the Ritz residuals are read off the projected matrix; once they
-pass, the operator is applied to the Ritz vectors, so the returned
-residuals are the true ``||H v - lambda v||``.
+matrices. ``lowest_k`` needs only the operator's action on a block of vectors,
+for superblock and exact diagonalizations where the operator is never
+materialized. Above ``_DENSE_CUTOFF`` it is a thick-restart block Lanczos on a
+basis stored one vector per row, from a QR'd start block (one start vector is
+only normalized). A step applies the operator to the newest block (as
+``rows.T``), projects the result first on the rows it can reach (the previous
+block and itself; after a thick restart, every kept Ritz vector) and then once
+on the whole basis, adds both projections into the projected matrix, and
+splits off the next block by an SVD (a norm, in place, for one row). Full
+reorthogonalization keeps ghost eigenvalues out of the density-matrix spectra
+downstream. Every few steps the Ritz residuals are read off the projected
+matrix; once they pass, the operator is applied to the Ritz vectors, so the
+returned residuals are the true ``||H v - lambda v||``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -94,7 +95,7 @@ def lowest_k(
     Deterministic for a fixed seed: the starting block is drawn from a
     seeded generator and every reduction has a fixed order. ``v0`` may
     supply starting vectors (shape ``(dim,)`` or ``(dim, j)``); the first k
-    are used and missing ones come from the same generator.
+    are used, and missing or zero ones come from the same generator.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -131,11 +132,13 @@ def lowest_k(
     keep = min(width - k, max(2 * k, width // 2))
     q_rows = np.empty((width, dim))
     t_mat = np.zeros((width, width))
-    q_rows[:k] = rng.standard_normal((dim, k)).T
-    if v0 is not None:
-        v0 = np.asarray(v0, dtype=float).reshape(dim, -1)[:, :k]
-        q_rows[: v0.shape[1]] = v0.T
-    q_rows[:k] = np.linalg.qr(q_rows[:k].T)[0].T
+    start = np.reshape(np.zeros(0) if v0 is None else np.asarray(v0, dtype=float), (dim, -1)).T[:k]
+    start = start[[row @ row > 0 for row in start]]
+    if len(start) < k:
+        q_rows[:k] = rng.standard_normal((dim, k)).T
+    q_rows[:len(start)] = start
+    q_rows[:k] = (q_rows[:1] / math.sqrt(q_rows[0] @ q_rows[0]) if k == 1
+                  else np.linalg.qr(q_rows[:k].T)[0].T)
     wlo, lo, p = 0, 0, k
     matvecs = steps = 0
     checked = 1 - _CHECK_EVERY
@@ -157,8 +160,8 @@ def lowest_k(
         # w = beta^T @ block couples the next block to this one. The SVD of
         # a single row is its norm.
         if k == 1:
-            sig = np.linalg.norm(w, axis=1)
-            block, beta = w / (sig[0] or 1.0), sig[:, None]
+            sig = beta = math.sqrt(w[0] @ w[0])
+            block = np.divide(w, sig or 1.0, out=w)
         else:
             block, sig, vt = np.linalg.svd(w.T, full_matrices=False)
             block, beta = block.T, sig[:, None] * vt
@@ -170,7 +173,8 @@ def lowest_k(
             lam = vals[:k]
             bound = tol * np.maximum(1.0, np.abs(lam))
             # ||H x - lam x|| of the Ritz pairs, read off the projection.
-            rnorm = np.linalg.norm(beta @ s_mat[lo:p, :k], axis=0)
+            rnorm = (abs(beta * s_mat[lo, 0]) if k == 1
+                     else np.linalg.norm(beta @ s_mat[lo:p, :k], axis=0))
             if np.all(rnorm <= bound):
                 x_vecs = (s_mat[:, :k].T @ basis).T
                 resid = apply(x_vecs)
@@ -183,8 +187,8 @@ def lowest_k(
             if matvecs >= _MAX_MATVECS:
                 raise ConvergenceError(
                     f"no convergence after {matvecs} matvecs "
-                    f"(worst residual {rnorm.max():.3e})",
-                    residual_norms=rnorm,
+                    f"(worst residual {np.max(rnorm):.3e})",
+                    residual_norms=np.atleast_1d(rnorm),
                 )
             if full:
                 # Thick restart: the leading Ritz vectors, on which the
@@ -197,8 +201,9 @@ def lowest_k(
         # Directions this far below the largest are mostly rounding and not
         # orthogonal to the basis (an almost invariant subspace): replace
         # them with random ones.
-        lost = sig <= 1e-8 * sig[0]
-        if lost.any():
+        lost = [sig == 0.0] if k == 1 else sig <= 1e-8 * sig[0]
+        if any(lost):
+            lost = np.asarray(lost)
             fresh = rng.standard_normal((dim, int(lost.sum())))
             spanned = np.vstack([q_rows[:p], block[~lost]])
             for _ in range(2):

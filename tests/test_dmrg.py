@@ -79,9 +79,10 @@ def test_two_enlargements_match_hand_assembled_two_site():
 
 def test_truncate_block_rotation_preserves_spectrum():
     basis = bare_site_basis(4, 4)
-    blk = enlarge_block(enlarge_block(Block.empty(), basis), basis)
+    one = enlarge_block(Block.empty(), basis)
+    blk = enlarge_block(one, basis)
     state = _pure_state(16, seed=2)
-    rotated, record = truncate_block(blk, state, 16, position=2)
+    rotated, record = truncate_block(one, basis, state, 16, position=2)
     before = np.linalg.eigvalsh(blk.hamiltonian)
     after = np.linalg.eigvalsh(rotated.hamiltonian)
     np.testing.assert_allclose(after, before, atol=1e-10)
@@ -90,9 +91,9 @@ def test_truncate_block_rotation_preserves_spectrum():
 
 def test_truncate_block_pure_state_rank_one():
     basis = bare_site_basis(3, 3)
-    blk = enlarge_block(enlarge_block(Block.empty(), basis), basis)
+    one = enlarge_block(Block.empty(), basis)
     state = _pure_state(9, seed=7)
-    truncated, record = truncate_block(blk, state, 1, position=2)
+    truncated, record = truncate_block(one, basis, state, 1, position=2)
     assert truncated.basis_dim == 1
     assert record.discarded_weight <= 1e-10
     assert record.kept == 1
@@ -101,15 +102,15 @@ def test_truncate_block_pure_state_rank_one():
         1.0 - record.lambdas[:1].sum(), abs=1e-12
     )
     with pytest.raises(ValueError):
-        truncate_block(blk, state, 10)
+        truncate_block(one, basis, state, 10)
 
 
 def test_truncation_record_invariants():
     basis = bare_site_basis(3, 3)
-    blk = enlarge_block(enlarge_block(Block.empty(), basis), basis)
+    one = enlarge_block(Block.empty(), basis)
     rng = np.random.default_rng(5)
     m = rng.standard_normal((9, 4))
-    _, record = truncate_block(blk, m / np.sqrt(np.trace(m @ m.T)), 3, position=2)
+    _, record = truncate_block(one, basis, m / np.sqrt(np.trace(m @ m.T)), 3, position=2)
     lam = record.lambdas
     assert np.all(np.diff(lam) <= 1e-12)
     assert np.all(lam >= -1e-10)
@@ -131,11 +132,7 @@ def test_superblock_matvec_linearity():
     basis = bare_site_basis(4, 3)
     state = _pure_state(4, seed=1)
     rho = 0.5 * state @ state.T + 0.5 * np.eye(4) / 4
-    blk = truncate_block(
-        enlarge_block(Block.empty(), bare_site_basis(4, 4)),
-        np.linalg.cholesky(rho),
-        3,
-    )[0]
+    blk = truncate_block(Block.empty(), bare_site_basis(4, 4), np.linalg.cholesky(rho), 3)[0]
     ops = site_operators(basis)
     from oscdmrg.dmrg import _superblock_matvec
 
@@ -388,19 +385,20 @@ def test_perturbed_truncations_record_the_perturbed_spectrum(monkeypatch):
     import oscdmrg.dmrg as dmrg_mod
 
     pending, tagged = [], []
-    perturbed_factor, truncate = dmrg_mod._perturbed_factor, dmrg_mod.truncate_block
+    perturbed_factor, kept_states = dmrg_mod._perturbed_factor, dmrg_mod._kept_states
 
     def marking(*args):
         pending.append(True)
         return perturbed_factor(*args)
 
     def tagging(*args, **kwargs):
-        new, rec = truncate(*args, **kwargs)
+        v, rec = kept_states(*args, **kwargs)
         tagged.append((bool(pending and pending.pop()), rec))
-        return new, rec
+        return v, rec
 
+    # every block truncation, warmup's and the sweeps', selects its states here
     monkeypatch.setattr(dmrg_mod, "_perturbed_factor", marking)
-    monkeypatch.setattr(dmrg_mod, "truncate_block", tagging)
+    monkeypatch.setattr(dmrg_mod, "_kept_states", tagging)
     result = run_dmrg(ChainSpec(8, 1.0, 8), DmrgConfig(kept_states=4, optimized=False))
     assert [rec for _p, rec in tagged] == result.truncation_records
     perturbed = [rec for p, rec in tagged if p]
@@ -576,7 +574,7 @@ def test_refinement_converges_to_unique_fixed_point(monkeypatch):
     ops = site_operators(full)
     _eig, psi = superblock_solve(left1, ops, left1, cfg)
     factor = _weighted_factor(psi, (0, 1))
-    left2, _ = truncate_block(enlarge_block(left1, full), factor, 4)
+    left2, _ = truncate_block(left1, full, factor, 4)
 
     rng = np.random.default_rng(0)
     rand_cols = np.linalg.qr(rng.standard_normal((10, 4)))[0]
@@ -624,7 +622,7 @@ def test_refinement_stops_at_first_full_space_solve(monkeypatch):
     left1 = enlarge_block(Block.empty(), start)
     _eig, psi = superblock_solve(left1, site_operators(start), left1, cfg)
     factor = _weighted_factor(psi, (0, 1))
-    left2, _ = truncate_block(enlarge_block(left1, start), factor, n)
+    left2, _ = truncate_block(left1, start, factor, n)
 
     rng = np.random.default_rng(3)
     rand_cols = np.linalg.qr(rng.standard_normal((m, n)))[0]
@@ -787,20 +785,28 @@ def test_superblock_matvec_equals_kron_assembly(left, right, ds, nb, block_width
 
 @st.composite
 def _truncations(draw):
-    """A block, an equally weighted wavefunction factor of 1-3 targets and a
-    number of kept states. Its rows may outnumber its columns or not, and
-    it may have fewer columns than kept states."""
+    """A block of 1-12 states, a bare or randomly rotated site it absorbs, an
+    equally weighted wavefunction factor of 1-3 targets on their (block,
+    site) rows and a number of kept states. The rows may outnumber the
+    factor's columns or not, and it may have fewer columns than kept states."""
+    from oscdmrg import SiteBasis
+
     n_tar = draw(st.integers(1, 3))
-    dl, ds, dr = (draw(st.integers(1, 6)) for _ in range(3))
+    db, dr, m = draw(st.integers(1, 12)), draw(st.integers(1, 4)), draw(st.integers(2, 6))
+    ds = draw(st.integers(1, m))
+    rotated = draw(st.booleans())
     axes = draw(st.sampled_from([(0, 1), (2, 1)]))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    psi = rng.standard_normal((dl, ds, dr, n_tar))
+    psi = rng.standard_normal(((db, ds, dr) if axes == (0, 1) else (dr, ds, db)) + (n_tar,))
     psi /= np.linalg.norm(psi.reshape(-1, n_tar), axis=0)
-    dim = math.prod(psi.shape[a] for a in axes)
-    n = draw(st.integers(1, dim))
-    block = Block(2, dim, _random_sym(rng, dim), _random_sym(rng, dim))
-    return block, psi, axes, n
+    n = draw(st.integers(1, db * ds))
+    block = Block(2, db, _random_sym(rng, db), _random_sym(rng, db))
+    if rotated:
+        site = SiteBasis(m, ds, np.linalg.qr(rng.standard_normal((m, ds)))[0])
+    else:
+        site = bare_site_basis(m, ds)
+    return block, site, psi, axes, n
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -809,21 +815,53 @@ def test_truncate_block_from_factor_matches_eigh_of_rho(problem):
     # the left singular vectors of M are the eigenvectors of rho = M M^T
     from oscdmrg.dmrg import _averaged_rdm, _weighted_factor
 
-    block, psi, axes, n = problem
+    block, site, psi, axes, n = problem
     factor = _weighted_factor(psi, axes)
     rho = _averaged_rdm(psi, axes)
     np.testing.assert_allclose(factor @ factor.T, rho, rtol=0, atol=1e-14)
-    new, record = truncate_block(block, factor, n, position=3)
+    new, record = truncate_block(block, site, factor, n, position=3)
+    enlarged = enlarge_block(block, site)
 
     lam, vecs = np.linalg.eigh(rho)
     lam, vecs = lam[::-1], vecs[:, ::-1]
     np.testing.assert_allclose(record.lambdas, lam, rtol=0, atol=1e-12)
     assert record.discarded_weight == pytest.approx(lam[n:].sum(), abs=1e-12)
     v = new.rotation
-    assert v.shape == (block.basis_dim, n)
+    assert v.shape == (enlarged.basis_dim, n)
     np.testing.assert_allclose(v.T @ v, np.eye(n), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(new.hamiltonian, v.T @ block.hamiltonian @ v,
+    np.testing.assert_allclose(new.hamiltonian, v.T @ enlarged.hamiltonian @ v,
                                rtol=0, atol=1e-12)
     if n == lam.size or lam[n - 1] - lam[n] > 1e-6:
         top = vecs[:, :n]
         np.testing.assert_allclose(v @ v.T, top @ top.T, rtol=0, atol=1e-8)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_truncations(), st.sampled_from([0.0, 1e-4, 1e-2]))
+def test_truncate_block_matches_enlarge_then_project(problem, alpha):
+    # the fused truncation against the two-step route: enlarge_block, then
+    # the same SVD of the factor and V^T H' V, V^T edge' V; a perturbed
+    # factor applies the enlarged edge operator 1 (x) x to the factor
+    from oscdmrg.dmrg import _perturbed_factor, _weighted_factor
+
+    block, site, psi, axes, n = problem
+    factor = _weighted_factor(psi, axes)
+    enlarged = enlarge_block(block, site)
+    expected = factor
+    if alpha:
+        xm = enlarged.edge_x @ factor
+        expected = np.hstack([factor, np.sqrt(alpha) * xm]) / np.sqrt(1 + alpha * np.sum(xm**2))
+        factor = _perturbed_factor(factor, site_operators(site).x, alpha)
+        np.testing.assert_allclose(factor, expected, rtol=0, atol=1e-12)
+    new, record = truncate_block(block, site, factor, n, position=3)
+
+    u, sig, _vt = np.linalg.svd(expected, full_matrices=expected.shape[1] < n)
+    v = u[:, :n]
+    h, x = v.T @ enlarged.hamiltonian @ v, v.T @ enlarged.edge_x @ v
+    assert (new.length, new.basis_dim) == (block.length + 1, n)
+    np.testing.assert_allclose(new.rotation, v, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(new.hamiltonian, 0.5 * (h + h.T), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(new.edge_x, 0.5 * (x + x.T), rtol=0, atol=1e-12)
+    lam = np.pad(sig**2, (0, enlarged.basis_dim - sig.size))
+    np.testing.assert_allclose(record.lambdas, lam, rtol=0, atol=1e-12)
+    assert record.kept == n

@@ -140,6 +140,16 @@ def test_lowest_k_start_block_without_full_rank(diagonal, columns):
     assert np.all(resid <= 1e-10 * np.maximum(1.0, np.abs(res.values)) * 1.001)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_lowest_k_zero_start_column_is_drawn(k):
+    # a zero column of v0 counts as missing and comes from the generator;
+    # normalizing it instead would divide by zero
+    mat = np.diag(np.linspace(-3.0, 5.0, 300))
+    with np.errstate(all="raise"):
+        res = lowest_k(lambda v: mat @ v, 300, k, v0=np.zeros(300))
+    np.testing.assert_allclose(res.values, np.diag(mat)[:k], rtol=0, atol=1e-8)
+
+
 @pytest.mark.parametrize("case,k", [("random", 1), ("random", 2), ("random", 4),
                                     ("degenerate", 3), ("eigenvector", 2)])
 def test_lowest_k_windowed_projection(case, k):
