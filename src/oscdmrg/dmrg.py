@@ -232,9 +232,8 @@ def _dominant_states(
 
 
 def _kept_states(factor, dim: int, n: int, position: int) -> tuple[np.ndarray, TruncationRecord]:
-    """The n dominant eigenvectors of a block's averaged reduced density
-    matrix, given as a factor on ``dim`` rows (rho = factor @ factor.T): its
-    leading left singular vectors; the spectrum is its squared singular values."""
+    """The n leading left singular vectors of a density-matrix factor on ``dim`` rows
+    (rho = factor @ factor.T) and their record; the spectrum is the squared singular values."""
     factor = np.asarray(factor, dtype=float)
     if factor.ndim != 2 or factor.shape[0] != dim:
         raise ValueError(f"factor shape {factor.shape} does not have {dim} rows")

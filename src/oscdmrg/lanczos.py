@@ -103,7 +103,7 @@ def lowest_k(
         raise ValueError(f"k={k} outside 1..{dim}")
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    rng = np.random.default_rng(seed)
+    rng = None
 
     if dim <= _DENSE_CUTOFF:
         # Saturate the Krylov space outright: with full reorthogonalization
@@ -135,6 +135,7 @@ def lowest_k(
     start = np.reshape(np.zeros(0) if v0 is None else np.asarray(v0, dtype=float), (dim, -1)).T[:k]
     start = start[[row @ row > 0 for row in start]]
     if len(start) < k:
+        rng = np.random.default_rng(seed)
         q_rows[:k] = rng.standard_normal((dim, k)).T
     q_rows[:len(start)] = start
     q_rows[:k] = (q_rows[:1] / math.sqrt(q_rows[0] @ q_rows[0]) if k == 1
@@ -154,8 +155,7 @@ def lowest_k(
         coef = basis @ w.T
         w -= coef.T @ basis
         coef[wlo:] += near_coef
-        t_mat[:p, lo:p] = coef
-        t_mat[lo:p, :p] = coef.T
+        t_mat[lo:p, :p] = coef.T  # its lower triangle, which is all eigh reads
         # An SVD rather than a QR, because it shows when w loses rank.
         # w = beta^T @ block couples the next block to this one. The SVD of
         # a single row is its norm.
@@ -204,6 +204,7 @@ def lowest_k(
         lost = [sig == 0.0] if k == 1 else sig <= 1e-8 * sig[0]
         if any(lost):
             lost = np.asarray(lost)
+            rng = rng or np.random.default_rng(seed)
             fresh = rng.standard_normal((dim, int(lost.sum())))
             spanned = np.vstack([q_rows[:p], block[~lost]])
             for _ in range(2):
