@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -855,7 +854,8 @@ def test_truncate_block_matches_enlarge_then_project(problem, alpha):
         np.testing.assert_allclose(factor, expected, rtol=0, atol=1e-12)
     new, record = truncate_block(block, site, factor, n, position=3)
 
-    u, sig, _vt = np.linalg.svd(expected, full_matrices=expected.shape[1] < n)
+    # the same factor as truncate_block's, so that both SVDs pick the same signs
+    u, sig, _vt = np.linalg.svd(factor, full_matrices=factor.shape[1] < n)
     v = u[:, :n]
     h, x = v.T @ enlarged.hamiltonian @ v, v.T @ enlarged.edge_x @ v
     assert (new.length, new.basis_dim) == (block.length + 1, n)
