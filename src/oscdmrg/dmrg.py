@@ -233,7 +233,12 @@ def _dominant_states(
 
 def _kept_states(factor, dim: int, n: int, position: int) -> tuple[np.ndarray, TruncationRecord]:
     """The n leading left singular vectors of a density-matrix factor on ``dim`` rows
-    (rho = factor @ factor.T) and their record; the spectrum is the squared singular values."""
+    (rho = factor @ factor.T) and their record; the spectrum is the squared singular values.
+
+    Each kept vector is signed so that its largest-magnitude entry (the first, on
+    a tie) is positive (Bro, Acar & Kolda, J. Chemometrics 22, 135 (2008)), so the
+    kept states do not depend on the signs LAPACK returns. The rule fixes signs
+    only: it cannot pin a basis inside a degenerate or null singular subspace."""
     factor = np.asarray(factor, dtype=float)
     if factor.ndim != 2 or factor.shape[0] != dim:
         raise ValueError(f"factor shape {factor.shape} does not have {dim} rows")
@@ -244,6 +249,7 @@ def _kept_states(factor, dim: int, n: int, position: int) -> tuple[np.ndarray, T
     # With fewer columns than kept states, the full U completes the kept set
     # from the null space of rho.
     u, sig, _vt = np.linalg.svd(factor, full_matrices=factor.shape[1] < n)
+    u[:, :n] *= np.sign(u[np.abs(u[:, :n]).argmax(axis=0), np.arange(n)])
     lam = np.concatenate([sig**2, np.zeros(dim - sig.size)])
     return _dominant_states(lam, u, n, position, "block")
 
@@ -572,9 +578,7 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
             elif nxt is not None:
                 guess = step(p, psi_fin, rightward=nxt > p)
 
-    # Warmup: grow against the mirror environment (bases are still uniform),
-    # projecting the enlarged operators: its solves start cold from seeded
-    # vectors in the block basis, whose SVD signs flip with any change in rounding.
+    # Warmup: grow against the mirror environment (bases are still uniform).
     left[1] = right[1] = enlarge_block(left[0], bases[0])
     length = 1
     while n_sites - length - 1 > length:
@@ -586,13 +590,8 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
                 f"warmup solve failed at site {length + 1}: {err}",
                 residual_norms=err.residual_norms,
             ) from err
-        big = enlarge_block(left[length], bases[length])
-        if big.basis_dim > n:
-            v, rec = _kept_states(_weighted_factor(psi, (0, 1)), big.basis_dim, n, length + 1)
-            h, x = v.T @ big.hamiltonian @ v, v.T @ big.edge_x @ v
-            big = Block(big.length, n, 0.5 * (h + h.T), 0.5 * (x + x.T), v)
-            records.append(rec)
-        left[length + 1] = right[length + 1] = big
+        move(length, psi, rightward=True)
+        right[length + 1] = left[length + 1]
         length += 1
 
     # Finite-system sweeps: rightward from where warmup stopped, then back

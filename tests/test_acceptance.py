@@ -14,7 +14,9 @@ over loosened assertions.
 After the criteria, the fixtures are checked against the committed record
 ``acceptance_record.json`` and DMRG entropies and block spectra against an
 exact Gaussian oracle. ``PYTHONPATH=src python tests/test_acceptance.py``
-rewrites the record from the fixtures.
+rewrites the record from the fixtures, after printing each recorded value's
+old and new value and change, flagged PAST BAR where the record check would
+fail on it.
 """
 
 import json
@@ -312,6 +314,35 @@ def _record(fig2, size, table) -> dict:
     }
 
 
+# How far each recorded value may move, (relative, absolute), before the record check fails.
+BARS = {"E0": (1e-10, 0.0), "S_E": (0.0, 1e-8), "gap": (1e-8, 0.0), "lambdas": (0.0, 1e-8)}
+
+
+def _values(summary: dict) -> dict:
+    """A point's recorded values by name, the lambdas one by one."""
+    out = {k: v for k, v in summary.items() if k != "lambdas"}
+    out.update({f"lambdas[{i}]": v for i, v in enumerate(summary.get("lambdas", []))})
+    return out
+
+
+def _changes(want: dict, got: dict) -> list[str]:
+    """One line per recorded value of ``got``: old value, new value, change,
+    and PAST BAR where the record check would fail on it."""
+    lines = []
+    for group, points in got.items():
+        for point, summary in points.items():
+            before = _values(want.get(group, {}).get(point, {}))
+            for name, new in _values(summary).items():
+                old, bar = before.get(name), BARS.get(name.split("[")[0])
+                change, past = "", old != new
+                if old is not None and bar is not None:
+                    change = f"{new - old:+.2e}" + (f" ({(new - old) / abs(old):+.1e} rel)" if old else "")
+                    past = abs(new - old) > max(bar[0] * abs(old), bar[1])
+                line = f"{group:5} {point:14} {name:10} {old!r:>22} -> {new!r:22} {change}"
+                lines.append(line.rstrip() + ("  PAST BAR" if past else ""))
+    return lines
+
+
 def test_fixtures_match_committed_record(fig2_runs, size_runs, table_runs):
     # The record holds every fixture point's answers as the commit that wrote
     # it computed them; the runs are seeded, so a rerun repeats them up to
@@ -327,13 +358,26 @@ def test_fixtures_match_committed_record(fig2_runs, size_runs, table_runs):
             assert new.keys() == ref.keys(), where
             assert new["converged"] == ref["converged"], where
             assert new["sweeps"] == ref["sweeps"], where
-            assert new["E0"] == pytest.approx(ref["E0"], rel=1e-10, abs=0), where
-            assert new["S_E"] == pytest.approx(ref["S_E"], rel=0, abs=1e-8), where
-            if "gap" in ref:
-                assert new["gap"] == pytest.approx(ref["gap"], rel=1e-8, abs=0), where
+            for field in ("E0", "S_E", "gap"):
+                if field in ref:
+                    rel, tol = BARS[field]
+                    assert new[field] == pytest.approx(ref[field], rel=rel, abs=tol), where
             if "lambdas" in ref:
-                np.testing.assert_allclose(new["lambdas"], ref["lambdas"], rtol=0, atol=1e-8,
+                rel, tol = BARS["lambdas"]
+                np.testing.assert_allclose(new["lambdas"], ref["lambdas"], rtol=rel, atol=tol,
                                            err_msg=where)
+
+
+def test_record_report_flags_changes_past_the_bars():
+    old = {"size": {"N=10": {"E0": 6.0, "S_E": 0.3, "converged": True, "sweeps": 6,
+                             "gap": 0.2, "lambdas": [0.9, 0.1]}}}
+    new = {"size": {"N=10": {"E0": 6.0 * (1 + 2e-10), "S_E": 0.3 + 5e-9, "converged": True,
+                             "sweeps": 5, "gap": 0.2, "lambdas": [0.9, 0.1 + 2e-8]}}}
+    lines = _changes(old, new)
+    flagged = [line.split()[2] for line in lines if line.endswith("PAST BAR")]
+    assert len(lines) == 7
+    assert flagged == ["E0", "sweeps", "lambdas[1]"]
+    assert "6.0 -> 6.0000000012" in lines[0] and "+2.0e-10 rel" in lines[0]
 
 
 # Exact Gaussian oracle, independent of the package. The chain is
@@ -404,4 +448,5 @@ def test_central_block_spectrum_matches_gaussian_oracle(table_runs):
 
 if __name__ == "__main__":
     record = _record(_fig2_runs(), _size_runs(), _table_runs())
+    print("\n".join(_changes(json.loads(RECORD.read_text(encoding="utf-8")), record)))
     RECORD.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

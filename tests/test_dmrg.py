@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -478,6 +479,33 @@ def test_run_dmrg_deterministic():
     assert r1.entanglement_SE == r2.entanglement_SE
 
 
+@pytest.mark.parametrize("spec,cfg", [
+    (ChainSpec(20, 1.0, 14), DmrgConfig(kept_states=8, optimized=False, seed=1)),
+    (ChainSpec(14, 1.0, 14), DmrgConfig(kept_states=6, feed_size=4, n_targets=2, seed=1)),
+])
+def test_seeded_run_does_not_depend_on_svd_signs(monkeypatch, spec, cfg):
+    # every SVD that picks kept block states returns every other singular pair
+    # negated; the sign-fixed kept states, and so the whole run, must not move
+    from oscdmrg import dmrg
+
+    svd, kept_states = np.linalg.svd, dmrg._kept_states.__code__
+
+    def flipped_svd(a, *args, **kwargs):
+        out = svd(a, *args, **kwargs)
+        if sys._getframe(1).f_code is not kept_states:
+            return out
+        u, sig, vt = out
+        flip = np.where(np.arange(max(u.shape[1], vt.shape[0])) % 2, 1.0, -1.0)
+        return u * flip[:u.shape[1]], sig, vt * flip[:vt.shape[0], None]
+
+    plain = run_dmrg(spec, cfg)
+    monkeypatch.setattr(np.linalg, "svd", flipped_svd)
+    flipped = run_dmrg(spec, cfg)
+    assert np.array_equal(flipped.energies, plain.energies)
+    assert flipped.entanglement_SE == plain.entanglement_SE
+    assert flipped.gap == plain.gap
+
+
 def test_run_dmrg_hbar_scaling():
     # H(hbar) = hbar * H(1): the run at hbar = 3 makes the solves of the run
     # at hbar = 1, and only its reported energies are scaled
@@ -828,6 +856,8 @@ def test_truncate_block_from_factor_matches_eigh_of_rho(problem):
     v = new.rotation
     assert v.shape == (enlarged.basis_dim, n)
     np.testing.assert_allclose(v.T @ v, np.eye(n), rtol=0, atol=1e-12)
+    # sign-fixed: each kept state's largest-magnitude entry is positive
+    assert np.all(v[np.abs(v).argmax(axis=0), np.arange(n)] > 0)
     np.testing.assert_allclose(new.hamiltonian, v.T @ enlarged.hamiltonian @ v,
                                rtol=0, atol=1e-12)
     if n == lam.size or lam[n - 1] - lam[n] > 1e-6:
@@ -854,9 +884,10 @@ def test_truncate_block_matches_enlarge_then_project(problem, alpha):
         np.testing.assert_allclose(factor, expected, rtol=0, atol=1e-12)
     new, record = truncate_block(block, site, factor, n, position=3)
 
-    # the same factor as truncate_block's, so that both SVDs pick the same signs
+    # the same factor as truncate_block's, so that both SVDs pick the same
+    # vectors; each is signed so that its largest-magnitude entry is positive
     u, sig, _vt = np.linalg.svd(factor, full_matrices=factor.shape[1] < n)
-    v = u[:, :n]
+    v = u[:, :n] * np.sign(u[np.abs(u[:, :n]).argmax(axis=0), np.arange(n)])
     h, x = v.T @ enlarged.hamiltonian @ v, v.T @ enlarged.edge_x @ v
     assert (new.length, new.basis_dim) == (block.length + 1, n)
     np.testing.assert_allclose(new.rotation, v, rtol=0, atol=1e-12)
