@@ -53,18 +53,18 @@ class ChainSpec:
             raise ValueError(f"bare_dim must be >= 2, got {self.bare_dim}")
 
 
-def dispersion(spec: ChainSpec, j: int) -> float:
-    """Frequency of mode j (1-based): w_j = 2 sin(j pi / (2(N+1)))."""
-    n = spec.n_sites
-    if not 1 <= j <= n:
-        raise ValueError(f"mode index {j} outside 1..{n}")
-    return 2.0 * math.sin(j * math.pi / (2.0 * (n + 1)))
-
-
 def mode_spectrum(spec: ChainSpec) -> np.ndarray:
-    """All N mode frequencies at once, strictly ascending (modes 1..N)."""
+    """All N mode frequencies w_j = 2 sin(j pi / (2(N+1))), strictly
+    ascending (modes j = 1..N)."""
     j = np.arange(1, spec.n_sites + 1)
     return 2.0 * np.sin(j * np.pi / (2.0 * (spec.n_sites + 1)))
+
+
+def dispersion(spec: ChainSpec, j: int) -> float:
+    """Frequency w_j of mode j (1-based), from :func:`mode_spectrum`."""
+    if not 1 <= j <= spec.n_sites:
+        raise ValueError(f"mode index {j} outside 1..{spec.n_sites}")
+    return float(mode_spectrum(spec)[j - 1])
 
 
 def ground_energy_closed(spec: ChainSpec) -> float:

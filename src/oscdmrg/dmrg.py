@@ -63,8 +63,7 @@ __all__ = [
 
 _MAX_REFINE_CYCLES = 25
 _BASIS_DRIFT_TOL = 1e-12
-# Solve tolerance of warmup and of the measurement pass, and the floor of
-# sweep solves.
+# Solve tolerance of warmup, and the floor of sweep solves.
 EIG_TOL = 1e-10
 # Sweep-to-sweep change of the best ground energy that ends the sweeps.
 ENERGY_TOL = 1e-8
@@ -77,7 +76,7 @@ _BASIS_TOL = 1e-9
 _SWEEP_TOL_FACTOR = 0.1
 _SWEEP_TOL_CAP = 1e-6
 # White's density-matrix perturbation alpha of sweeps 1, 2, 3, ...; later
-# sweeps, warmup and the measurement pass run unperturbed.
+# sweeps and warmup run unperturbed.
 _PERTURBATION = (1e-4, 1e-5, 1e-6)
 
 
@@ -160,17 +159,17 @@ class SiteOperators:
 class DmrgResult:
     """Outputs of a DMRG run.
 
-    ``energies`` holds the n_tar lowest superblock energies from the final
-    central-site solve; ``gap`` is energies[1]-energies[0] when at least two
-    states were targeted. ``site_entropies[i]`` is the ground-state
-    entanglement of site i+1 with the rest of the chain, and
-    ``entanglement_SE`` their average. ``central_block_lambdas`` is the
-    target-averaged spectrum of the enlarged central block (the truncation
-    density matrix, whose rank is capped by n times the number of targets),
-    descending. ``sweep_energy_trace`` records the best ground energy seen in
-    each sweep, ``sweep_tolerances`` the solve tolerance that sweep ran at,
-    and ``sweep_perturbations`` the alpha its block truncations were perturbed
-    by (0 where none was).
+    The last sweep reports, each site at its last visit. ``energies`` holds
+    the n_tar lowest superblock energies at the central site; ``gap`` is
+    energies[1]-energies[0] when at least two states were targeted.
+    ``site_entropies[i]`` is the ground-state entanglement of site i+1 with
+    the rest of the chain, and ``entanglement_SE`` their average.
+    ``central_block_lambdas`` is the target-averaged spectrum of the enlarged
+    central block (the truncation density matrix, whose rank is capped by n
+    times the number of targets), descending. ``sweep_energy_trace`` records
+    the best ground energy seen in each sweep, ``sweep_tolerances`` the solve
+    tolerance that sweep ran at, and ``sweep_perturbations`` the alpha its
+    block truncations were perturbed by (0 where none was).
     """
 
     energies: np.ndarray
@@ -472,15 +471,16 @@ def _sweep_tolerance(trace: list[float]) -> float:
 
 
 def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
-    """Warmup, finite-system sweeps, and a final measurement pass.
+    """Warmup, then finite-system sweeps; the last sweep reports.
 
     Warmup grows the left block one site at a time against its mirror
     image until the superblock spans the chain. Sweeps run right then left
     until the per-sweep best ground energy changes by less than
     ``ENERGY_TOL`` or ``n_sweeps`` is exhausted (``converged`` records
-    which); a final left-to-right pass collects per-site entropies, the
-    central block's spectrum, and the reported energies at the central site.
-    Warmup and that pass solve to ``EIG_TOL``; sweeps 1 and 2 to 1e-6, later
+    which). The last sweep's final visit to each site gives its entropy, and
+    that to the central site (N-1)//2 + 1 the reported energies and the
+    central block's spectrum (White, PRB 48, 10345 (1993)); no solve follows
+    the sweeps. Warmup solves to ``EIG_TOL``; sweeps 1 and 2 to 1e-6, later
     ones to 0.1 |dE| of the two sweeps before, clipped to [EIG_TOL, 1e-6].
     Only a sweep at ``CONVERGING_TOL`` or tighter may declare convergence.
 
@@ -548,36 +548,6 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
         moved = np.tensordot(t.reshape(-1, dr, k), w.reshape(-1, n, dr), axes=(1, 2))
         return moved.transpose(0, 3, 2, 1) if rightward else moved.transpose(2, 3, 0, 1)
 
-    def visit(sites: list[int], tol: float, then: int | None = 0):
-        """Solve (and refine, in optimized mode) at each free site of
-        ``sites`` (0-based) in turn to ``tol``, warm-started from ``guess``.
-
-        Yields (p, eig, the solution with its site leg on the m bare
-        states, psi_fin in the final n-dim basis with normalized columns).
-        After each visit the state becomes the next ``guess``: stepped toward
-        the next site, or as it is when the next visit is the same site.
-        ``then`` is the first site of the pass after this one (every pass
-        after the first sweep starts at p = 0), or None when no pass
-        follows."""
-        nonlocal guess
-        for p, nxt in zip(sites, [*sites[1:], then]):
-            bases[p], rec, eig, sol = optimize_site_basis(
-                config, left[p], right[n_sites - p - 1], bases[p],
-                position=p + 1, tol=tol, guess=guess,
-            )
-            if rec is not None:
-                records.append(rec)
-            psi_fin = np.tensordot(sol, bases[p].transform, axes=(1, 0)).transpose(0, 3, 1, 2)
-            for j in range(psi_fin.shape[3]):
-                nrm = np.linalg.norm(psi_fin[..., j])
-                if nrm > 0:
-                    psi_fin[..., j] /= nrm
-            yield p, eig, sol, psi_fin
-            if nxt == p:
-                guess = psi_fin
-            elif nxt is not None:
-                guess = step(p, psi_fin, rightward=nxt > p)
-
     # Warmup: grow against the mirror environment (bases are still uniform).
     left[1] = right[1] = enlarge_block(left[0], bases[0])
     length = 1
@@ -595,10 +565,14 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
         length += 1
 
     # Finite-system sweeps: rightward from where warmup stopped, then back
-    # to site 1; later sweeps start at site 1.
+    # to site 1; later sweeps start at site 1. A visit's state, stepped toward
+    # the next site, warm-starts that site's solve. Each visit overwrites its
+    # site's ground state, and the central site's energies and state.
     sweep_trace: list[float] = []
     sweep_tols: list[float] = []
     sweep_alphas: list[float] = []
+    ground: list[np.ndarray] = [None] * n_sites
+    central = (n_sites - 1) // 2
     prev_best = math.inf
     converged = False
     back = list(range(n_sites - 2, -1, -1))
@@ -608,7 +582,24 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
         sweep_tols.append(tol)
         alpha = _PERTURBATION[sweep] if sweep < len(_PERTURBATION) else 0.0
         perturbed = False
-        best = min(eig.values[0] for _p, eig, *_rest in visit(sites, tol))
+        best = math.inf
+        for p, nxt in zip(sites, [*sites[1:], 0]):
+            bases[p], rec, eig, sol = optimize_site_basis(
+                config, left[p], right[n_sites - p - 1], bases[p],
+                position=p + 1, tol=tol, guess=guess,
+            )
+            if rec is not None:
+                records.append(rec)
+            psi_fin = np.tensordot(sol, bases[p].transform, axes=(1, 0)).transpose(0, 3, 1, 2)
+            for j in range(psi_fin.shape[3]):
+                nrm = np.linalg.norm(psi_fin[..., j])
+                if nrm > 0:
+                    psi_fin[..., j] /= nrm
+            best = min(best, eig.values[0])
+            ground[p] = sol[..., :1]
+            if p == central:
+                energies, central_psi = eig.values, psi_fin
+            guess = psi_fin if nxt == p else step(p, psi_fin, rightward=nxt > p)
         sweep_trace.append(best)
         sweep_alphas.append(alpha if perturbed else 0.0)
         if abs(prev_best - best) < ENERGY_TOL and tol <= CONVERGING_TOL and not perturbed:
@@ -616,18 +607,11 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
             break
         prev_best = best
         sites = list(range(n_sites)) + back
-    alpha = 0.0
 
-    # Measurement pass: entropies per site, energies at the central site.
-    site_entropies = np.zeros(n_sites)
-    central = (n_sites - 1) // 2
-    for p, eig, sol, psi_fin in visit(list(range(n_sites)), EIG_TOL, None):
-        site_entropies[p] = von_neumann(_averaged_rdm(sol[..., :1], (1,)))
-        if p == central:
-            energies = eig.values
-            factor = _weighted_factor(psi_fin, (0, 1))
-            sig = np.linalg.svd(factor, compute_uv=False)
-            central_block_lams = np.pad(sig**2, (0, factor.shape[0] - sig.size))
+    site_entropies = np.array([von_neumann(_averaged_rdm(g, (1,))) for g in ground])
+    factor = _weighted_factor(central_psi, (0, 1))
+    sig = np.linalg.svd(factor, compute_uv=False)
+    central_block_lams = np.pad(sig**2, (0, factor.shape[0] - sig.size))
 
     # The one place hbar enters: the solves above are those at hbar = 1.
     energies, trace = spec.hbar_tilde * energies, spec.hbar_tilde * np.array(sweep_trace)

@@ -16,7 +16,8 @@ After the criteria, the fixtures are checked against the committed record
 exact Gaussian oracle. ``PYTHONPATH=src python tests/test_acceptance.py``
 rewrites the record from the fixtures, after printing each recorded value's
 old and new value and change, flagged PAST BAR where the record check would
-fail on it.
+fail on it, and per field how many values are past the bar and the largest
+relative move.
 """
 
 import json
@@ -29,15 +30,13 @@ import pytest
 from oscdmrg import (
     ChainSpec,
     DmrgConfig,
-    dispersion,
     ed_lowest,
-    first_gap,
     ground_energy_closed,
-    mode_spectrum,
     run_dmrg,
     site_rdm,
     von_neumann,
 )
+from oscdmrg.chain import dispersion, first_gap, mode_spectrum
 
 SLACK = 1e-9  # 10 * default eigensolver tolerance
 RECORD = Path(__file__).with_name("acceptance_record.json")
@@ -327,19 +326,30 @@ def _values(summary: dict) -> dict:
 
 def _changes(want: dict, got: dict) -> list[str]:
     """One line per recorded value of ``got``: old value, new value, change,
-    and PAST BAR where the record check would fail on it."""
-    lines = []
+    and PAST BAR where the record check would fail on it; then one line per
+    field: how many of its values are past the bar, and its largest move
+    relative to the old value."""
+    lines, fields = [], {}
     for group, points in got.items():
         for point, summary in points.items():
             before = _values(want.get(group, {}).get(point, {}))
             for name, new in _values(summary).items():
-                old, bar = before.get(name), BARS.get(name.split("[")[0])
+                field = name.split("[")[0]
+                old, bar = before.get(name), BARS.get(field)
                 change, past = "", old != new
                 if old is not None and bar is not None:
                     change = f"{new - old:+.2e}" + (f" ({(new - old) / abs(old):+.1e} rel)" if old else "")
                     past = abs(new - old) > max(bar[0] * abs(old), bar[1])
                 line = f"{group:5} {point:14} {name:10} {old!r:>22} -> {new!r:22} {change}"
                 lines.append(line.rstrip() + ("  PAST BAR" if past else ""))
+                rel = abs(new - old) / abs(old) if old else 0.0
+                count, n_past, worst, at = fields.get(field, (0, 0, -1.0, ""))
+                if rel > worst:
+                    worst, at = rel, f"{group} {point}"
+                fields[field] = (count + 1, n_past + past, worst, at)
+    for field, (count, n_past, worst, at) in fields.items():
+        lines.append(f"{field:10} {n_past} of {count} past the bar; "
+                     f"largest relative move {worst:.1e} ({at})")
     return lines
 
 
@@ -375,9 +385,17 @@ def test_record_report_flags_changes_past_the_bars():
                              "sweeps": 5, "gap": 0.2, "lambdas": [0.9, 0.1 + 2e-8]}}}
     lines = _changes(old, new)
     flagged = [line.split()[2] for line in lines if line.endswith("PAST BAR")]
-    assert len(lines) == 7
+    assert len(lines) == 7 + 6
     assert flagged == ["E0", "sweeps", "lambdas[1]"]
     assert "6.0 -> 6.0000000012" in lines[0] and "+2.0e-10 rel" in lines[0]
+    assert lines[7:] == [
+        "E0         1 of 1 past the bar; largest relative move 2.0e-10 (size N=10)",
+        "S_E        0 of 1 past the bar; largest relative move 1.7e-08 (size N=10)",
+        "converged  0 of 1 past the bar; largest relative move 0.0e+00 (size N=10)",
+        "sweeps     1 of 1 past the bar; largest relative move 1.7e-01 (size N=10)",
+        "gap        0 of 1 past the bar; largest relative move 0.0e+00 (size N=10)",
+        "lambdas    1 of 2 past the bar; largest relative move 2.0e-07 (size N=10)",
+    ]
 
 
 # Exact Gaussian oracle, independent of the package. The chain is

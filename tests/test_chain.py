@@ -4,15 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from oscdmrg import (
-    ChainSpec,
-    dispersion,
-    first_gap,
-    ground_energy_closed,
-    mode_spectrum,
-    spectrum,
-)
-from oscdmrg.chain import parity_levels
+from oscdmrg import ChainSpec, ground_energy_closed
+from oscdmrg.chain import dispersion, first_gap, mode_spectrum, parity_levels, spectrum
 
 
 def test_chain_spec_validation():

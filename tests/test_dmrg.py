@@ -6,25 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscdmrg import (
-    BOND_COEFFICIENT,
+from oscdmrg import ChainSpec, DmrgConfig, ed_lowest, ground_energy_closed, run_dmrg
+from oscdmrg.dmrg import (
     Block,
-    ChainSpec,
-    DmrgConfig,
     SiteOperators,
-    bare_site_basis,
-    build_full_hamiltonian,
-    dense_sym_eig,
-    ed_lowest,
     enlarge_block,
-    ground_energy_closed,
-    onsite_term,
     optimize_site_basis,
-    run_dmrg,
     site_operators,
     superblock_solve,
     truncate_block,
 )
+from oscdmrg.ed import build_full_hamiltonian
+from oscdmrg.fock import BOND_COEFFICIENT, bare_site_basis, onsite_term
+from oscdmrg.lanczos import dense_sym_eig
 
 
 def _pure_state(dim, seed):
@@ -260,14 +254,43 @@ def test_wavefunction_prediction_is_a_pure_warm_start(monkeypatch):
     # start from the previous site's state
     has_v0 = [v0 is not None for v0, _res in warm_calls]
     assert has_v0 == [False] * 5 + [True] * (len(has_v0) - 5)
-    # the measurement pass walks a converged state: each start vector is
-    # already the solution
+    # the last sweep walks a converged state: each start vector of its last
+    # N solves is already the solution
     for v0, res in warm_calls[-spec.n_sites:]:
         overlap = abs(v0[:, 0] @ res.vectors[:, 0]) / np.linalg.norm(v0[:, 0])
         assert overlap >= 1 - 1e-8
     matvecs = {label: sum(res.iterations for _v0, res in calls)
                for label, (_result, calls) in runs.items()}
     assert matvecs["warm"] <= 0.7 * matvecs["cold"]
+
+
+def test_run_dmrg_reports_its_last_sweep(monkeypatch):
+    # the reported energies are those of the last sweep's last visit to the
+    # central site, bit for bit (hbar = 1), and no visit or solve follows the
+    # sweeps. At N=7 warmup grows the left block to sites 1..3; the first
+    # sweep visits sites 4..7 and back to 1 (10 visits), later ones 1..7 and
+    # back (13).
+    import oscdmrg.dmrg as dmrg_mod
+
+    calls = _counting_lowest_k(monkeypatch)
+    refine = dmrg_mod.optimize_site_basis
+    visits = []
+
+    def recorded_visit(*args, **kwargs):
+        out = refine(*args, **kwargs)
+        visits.append((kwargs["position"], out[2].values, calls[0]))
+        return out
+
+    monkeypatch.setattr(dmrg_mod, "optimize_site_basis", recorded_visit)
+    spec = ChainSpec(7, 1.0, 8)
+    result = run_dmrg(spec, DmrgConfig(kept_states=4, feed_size=2, n_targets=2))
+    sweeps = result.sweep_energy_trace.size
+    assert len(visits) == 10 + 13 * (sweeps - 1)
+    assert visits[-1][0] == 1
+    assert visits[-1][2] == calls[0]
+    central = [values for position, values, _ in visits if position == 4][-1]
+    assert np.array_equal(result.energies, central)
+    assert result.gap == central[1] - central[0]
 
 
 def test_run_dmrg_sweep_trace_monotone():
@@ -279,11 +302,10 @@ def test_run_dmrg_sweep_trace_monotone():
 
 
 def test_sweep_solves_follow_the_tolerance_schedule(monkeypatch):
-    # warmup and the measurement pass solve to EIG_TOL, each sweep to its own
-    # entry of sweep_tolerances. Bare mode makes one solve per site visit:
-    # four warmup solves grow the left block to sites 1..5, the first sweep visits
-    # sites 6..10 and back to 1, later sweeps 1..10 and back, and the
-    # measurement pass 1..10.
+    # warmup solves to EIG_TOL, each sweep to its own entry of
+    # sweep_tolerances. Bare mode makes one solve per site visit: four warmup
+    # solves grow the left block to sites 1..5, the first sweep visits sites
+    # 6..10 and back to 1, later sweeps 1..10 and back; nothing follows.
     import oscdmrg.dmrg as dmrg_mod
 
     spec = ChainSpec(10, 1.0, 10)
@@ -304,7 +326,6 @@ def test_sweep_solves_follow_the_tolerance_schedule(monkeypatch):
     expected = [dmrg_mod.EIG_TOL] * 4
     for tol, count in zip(sweep_tols, visits):
         expected += [tol] * count
-    expected += [dmrg_mod.EIG_TOL] * spec.n_sites
     assert tols == expected
 
     trace = result.sweep_energy_trace
@@ -463,7 +484,7 @@ def test_run_dmrg_records_and_entropies():
         assert np.all(rec.lambdas >= -1e-10)
         assert rec.lambdas.sum() == pytest.approx(1.0, abs=1e-8)
         assert -1e-8 <= rec.discarded_weight <= 1.0
-    # the central site's averaged spectrum, from its measurement visit
+    # the central site's averaged spectrum, from its last visit
     lams = [rec.lambdas for rec in result.truncation_records
             if rec.kind == "site" and rec.position == 3][-1]
     assert lams[0] > 0.5
@@ -590,7 +611,7 @@ def test_refinement_converges_to_unique_fixed_point(monkeypatch):
     # its fixed point from either side, so only stabilization is asserted.)
     # The cycle cap is lowered to one, so each call is one feed cycle.
     import oscdmrg.dmrg as dmrg_mod
-    from oscdmrg import SiteBasis
+    from oscdmrg.fock import SiteBasis
     from oscdmrg.dmrg import _weighted_factor
 
     monkeypatch.setattr(dmrg_mod, "_MAX_REFINE_CYCLES", 1)
@@ -640,7 +661,7 @@ def test_refinement_stops_at_first_full_space_solve(monkeypatch):
     # bare states, so that one solve has an untruncated site and its n
     # dominant states are the refinement's exact fixed point. The oracle is
     # a separate solve in the bare m-state basis. Groups are 3,3,3,1.
-    from oscdmrg import SiteBasis
+    from oscdmrg.fock import SiteBasis
     from oscdmrg.dmrg import _weighted_factor
 
     m, n = 10, 7
@@ -816,7 +837,7 @@ def _truncations(draw):
     equally weighted wavefunction factor of 1-3 targets on their (block,
     site) rows and a number of kept states. The rows may outnumber the
     factor's columns or not, and it may have fewer columns than kept states."""
-    from oscdmrg import SiteBasis
+    from oscdmrg.fock import SiteBasis
 
     n_tar = draw(st.integers(1, 3))
     db, dr, m = draw(st.integers(1, 12)), draw(st.integers(1, 4)), draw(st.integers(2, 6))

@@ -7,19 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscdmrg import (
-    ChainSpec,
-    FullState,
-    BOND_COEFFICIENT,
-    ResourceLimitError,
-    build_full_hamiltonian,
-    ed_lowest,
-    ground_energy_closed,
-    kron,
-    ladder_ops,
-    lowest_k,
-    onsite_term,
-)
+from oscdmrg import ChainSpec, ResourceLimitError, ed_lowest, ground_energy_closed
+from oscdmrg.ed import FullState, build_full_hamiltonian
+from oscdmrg.fock import BOND_COEFFICIENT, kron, ladder_ops, onsite_term
+from oscdmrg.lanczos import lowest_k
 from oscdmrg import ed as ed_module
 from oscdmrg.chain import parity_levels
 

@@ -3,14 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oscdmrg import (
-    ChainSpec,
-    FullState,
-    InvalidDensityError,
-    ed_lowest,
-    site_rdm,
-    von_neumann,
-)
+from oscdmrg import ChainSpec, InvalidDensityError, ed_lowest, site_rdm, von_neumann
+from oscdmrg.ed import FullState
 
 
 def _state(n_sites, dims, amps):

@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from oscdmrg import (
+from oscdmrg import ChainSpec, ResourceLimitError, ground_energy_closed
+from oscdmrg.fock import (
     BOND_COEFFICIENT,
-    ChainSpec,
-    ResourceLimitError,
     SiteBasis,
     bare_site_basis,
-    ground_energy_closed,
     kron,
     ladder_ops,
     onsite_term,

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscdmrg import ConvergenceError, dense_sym_eig, lowest_k
-from oscdmrg.lanczos import _DENSE_CUTOFF
+from oscdmrg import ConvergenceError
+from oscdmrg.lanczos import _DENSE_CUTOFF, dense_sym_eig, lowest_k
 
 
 def _random_symmetric(dim, seed):
