@@ -274,36 +274,31 @@ def truncate_block(
     return Block(block.length + 1, n, 0.5 * (h + h.T), 0.5 * (x + x.T), v), record
 
 
-def _superblock_matvec(left: Block, ops: SiteOperators, right: Block, k: int = 1):
+def _superblock_matvec(left: Block, ops: SiteOperators, right: Block):
     """H @ block for the L-site-R superblock, and (dim_L, dim_site, dim_R).
 
-    One GEMM per side applies its stacked (H, x) pair (an empty block is
-    1x1 zeros); one site GEMM applies h and g*x to both bond pieces. The
-    right GEMM on k columns uses kron(R^T, 1_k) and needs no transposed
-    copy; on other widths (the dense path's identity) it is batched over
-    (left, site), as the kron would cost nb times the flops."""
+    It works on the block's rows, one state per row, as ``FullHamiltonian``
+    does (free for the ``rows.T`` that ``lowest_k`` passes). Each side
+    applies its stacked (H, x) pair (an empty block is 1x1 zeros), the left
+    one batched over the rows and the right one as one GEMM; one site GEMM
+    applies h and g*x to both bond pieces."""
     dl, ds, dr = left.basis_dim, ops.dim, right.basis_dim
     lhx = np.vstack([left.hamiltonian, left.edge_x])
-    rhx = np.vstack([right.hamiltonian, right.edge_x])
-    rhx_kron = np.kron(rhx.T, np.eye(k))
+    rhx_t = np.vstack([right.hamiltonian, right.edge_x]).T
     shx = np.hstack([ops.h, BOND_COEFFICIENT * ops.x])
 
     def apply(vblock: np.ndarray) -> np.ndarray:
-        nb = vblock.shape[1]
-        psi = vblock.reshape(dl, ds, dr * nb)
-        lft = (lhx @ psi.reshape(dl, -1)).reshape(2, dl, ds, dr * nb)
-        if nb == k:
-            rgt = psi.reshape(dl * ds, -1) @ rhx_kron
-        else:
-            rgt = rhx @ psi.reshape(dl * ds, dr, nb)
-        rgt = rgt.reshape(dl, ds, 2, dr * nb)
-        stacked = np.empty((dl, 2 * ds, dr * nb))
-        stacked[:, :ds] = psi
-        np.add(lft[1], rgt[:, :, 1], out=stacked[:, ds:])
+        rows = np.ascontiguousarray(vblock.T)
+        nb = rows.shape[0]
+        lft = np.matmul(lhx, rows.reshape(nb, dl, -1)).reshape(nb, 2, dl, ds, dr)
+        rgt = (rows.reshape(-1, dr) @ rhx_t).reshape(nb, dl, ds, 2, dr)
+        stacked = np.empty((nb, dl, 2 * ds, dr))
+        stacked[:, :, :ds] = rows.reshape(nb, dl, ds, dr)
+        np.add(lft[:, 1], rgt[:, :, :, 1], out=stacked[:, :, ds:])
         out = shx @ stacked
-        out += lft[0]
-        out += rgt[:, :, 0]
-        return out.reshape(-1, nb)
+        out += lft[:, 0]
+        out += rgt[:, :, :, 0]
+        return out.reshape(nb, -1).T
 
     return apply, (dl, ds, dr)
 
@@ -324,7 +319,7 @@ def superblock_solve(
     """
     dim = left.basis_dim * site_ops.dim * right.basis_dim
     k = min(config.n_targets, dim)
-    apply, (dl, ds, dr) = _superblock_matvec(left, site_ops, right, k)
+    apply, (dl, ds, dr) = _superblock_matvec(left, site_ops, right)
     res = lowest_k(apply, dim, k, tol=tol, seed=config.seed, v0=v0)
     psi = res.vectors.reshape(dl, ds, dr, k)
     return res, psi

@@ -3,9 +3,10 @@
 ``dense_sym_eig`` wraps the LAPACK full decomposition, used for density
 matrices. ``lowest_k`` needs only the operator's action on a block of vectors,
 for superblock and exact diagonalizations where the operator is never
-materialized. Above ``_DENSE_CUTOFF`` it is a thick-restart block Lanczos on a
-basis stored one vector per row, from a QR'd start block (one start vector is
-only normalized). A step applies the operator to the newest block (as
+materialized. At every size it is a thick-restart block Lanczos on a basis
+stored one vector per row, from a QR'd start block (one start vector is only
+normalized); once the dimension is at most its width, the basis spans the
+whole space. A step applies the operator to the newest block (as
 ``rows.T``), projects the result first on the rows it can reach (the previous
 block and itself; after a thick restart, every kept Ritz vector) and then once
 on the whole basis, adds both projections into the projected matrix, and
@@ -28,10 +29,6 @@ from .errors import ConvergenceError
 
 __all__ = ["EigResult", "dense_sym_eig", "lowest_k"]
 
-# Below this dimension the Krylov basis is saturated in one batched
-# application instead of iterating toward it (on superblock operators the
-# warm-started iterative solve is faster from about 128 states up).
-_DENSE_CUTOFF = 128
 # Lanczos steps between Rayleigh-Ritz convergence checks (a restart also
 # checks, and so does the first step, for warm starts).
 _CHECK_EVERY = 5
@@ -46,7 +43,7 @@ class EigResult:
     """Lowest eigenpairs: ascending values, orthonormal columns in vectors.
 
     ``residual_norms[i] = ||H v_i - lambda_i v_i||``; ``iterations`` counts
-    matrix-vector products (0 for the dense path).
+    matrix-vector products (0 for ``dense_sym_eig``).
     """
 
     values: np.ndarray
@@ -105,25 +102,6 @@ def lowest_k(
         raise ValueError(f"tol must be > 0, got {tol}")
     rng = None
 
-    if dim <= _DENSE_CUTOFF:
-        # Saturate the Krylov space outright: with full reorthogonalization
-        # the basis would reach the whole space anyway at this size, and one
-        # batched application is far cheaper than iterating toward it.
-        t_mat = apply(np.eye(dim))
-        t_mat = 0.5 * (t_mat + t_mat.T)
-        vals, vecs = np.linalg.eigh(t_mat)
-        lam = vals[:k].copy()
-        x_vecs = vecs[:, :k]
-        rnorm = np.linalg.norm(t_mat @ x_vecs - x_vecs * lam, axis=0)
-        if np.all(rnorm <= tol * np.maximum(1.0, np.abs(lam))):
-            return EigResult(values=lam, vectors=x_vecs, residual_norms=rnorm,
-                             iterations=dim)
-        raise ConvergenceError(
-            f"residuals stalled at machine level {rnorm.max():.3e} with the "
-            f"full space spanned (tol {tol:.1e} unreachable)",
-            residual_norms=rnorm,
-        )
-
     # Thick-restart block Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl.
     # 22, 602 (2000)) with block size k. Every applied block is projected on
     # the whole basis, so t_mat is exactly Q^T H Q, also across restarts.
@@ -166,6 +144,12 @@ def lowest_k(
             block, sig, vt = np.linalg.svd(w.T, full_matrices=False)
             block, beta = block.T, sig[:, None] * vt
         del w  # so that it is not held through the next product
+        if steps == 1 and k < dim and not np.any(sig):
+            # An invariant start passes with zero residuals whatever the
+            # spectrum holds below it: start again from a random block.
+            rng = rng or np.random.default_rng(seed)
+            q_rows[:k] = np.linalg.qr(rng.standard_normal((dim, k)))[0].T
+            continue
         full = p + k > width
         if full or matvecs >= _MAX_MATVECS or steps - checked >= _CHECK_EVERY:
             checked = steps

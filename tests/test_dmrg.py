@@ -225,8 +225,8 @@ def test_reflection_symmetry_with_truncation():
 
 def test_wavefunction_prediction_is_a_pure_warm_start(monkeypatch):
     # the rotated previous state only seeds the eigensolver: dropping it
-    # gives the same answers from more matvecs. Superblocks of 8^3 = 512
-    # states are above the solver's dense cutoff, so start vectors matter.
+    # gives the same answers from more matvecs (superblocks of 8^3 = 512
+    # states).
     import oscdmrg.dmrg as dmrg_mod
 
     spec = ChainSpec(10, 1.0, 10)
@@ -294,11 +294,14 @@ def test_run_dmrg_reports_its_last_sweep(monkeypatch):
 
 
 def test_run_dmrg_sweep_trace_monotone():
+    # a bare single-target run lowers its energy at every sweep, at any seed
+    # (each sweep by about 1e-9 or more here)
     spec = ChainSpec(6, 1.0, 8)
-    result = run_dmrg(spec, DmrgConfig(kept_states=4, n_targets=1, optimized=False))
-    trace = result.sweep_energy_trace
-    assert len(trace) >= 1
-    assert np.all(np.diff(trace) <= 1e-9)
+    for seed in range(4):
+        cfg = DmrgConfig(kept_states=4, n_targets=1, optimized=False, seed=seed)
+        trace = run_dmrg(spec, cfg).sweep_energy_trace
+        assert len(trace) >= 2
+        assert np.all(np.diff(trace) < 0), (seed, np.diff(trace))
 
 
 def test_sweep_solves_follow_the_tolerance_schedule(monkeypatch):
@@ -804,15 +807,15 @@ def _blocks(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(left=_blocks(), right=_blocks(), ds=st.integers(1, 6), nb=st.integers(1, 5),
-       block_width=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_superblock_matvec_equals_kron_assembly(left, right, ds, nb, block_width, seed):
-    # blocks of the solve's width k and of other widths take different
-    # right-block products; the identity is the dense path's input
+       seed=st.integers(0, 2**32 - 1))
+def test_superblock_matvec_equals_kron_assembly(left, right, ds, nb, seed):
+    # any block width, the identity, and the row-stored blocks lowest_k
+    # passes as a transpose
     from oscdmrg.dmrg import _superblock_matvec
 
     rng = np.random.default_rng(seed)
     ops = SiteOperators(h=_random_sym(rng, ds), x=_random_sym(rng, ds))
-    apply, dims = _superblock_matvec(left, ops, right, k=nb if block_width else 1)
+    apply, dims = _superblock_matvec(left, ops, right)
     assert dims == (left.basis_dim, ds, right.basis_dim)
     hl, xl, hr, xr = left.hamiltonian, left.edge_x, right.hamiltonian, right.edge_x
     il, i_s, ir = np.eye(left.basis_dim), np.eye(ds), np.eye(right.basis_dim)
@@ -828,6 +831,9 @@ def test_superblock_matvec_equals_kron_assembly(left, right, ds, nb, block_width
     # a strided column slice of a wider array reads like its contiguous copy
     strided = rng.standard_normal((ham.shape[0], nb + 2))[:, 1:-1]
     np.testing.assert_allclose(apply(strided), apply(np.ascontiguousarray(strided)),
+                               rtol=0, atol=1e-12)
+    rows = rng.standard_normal((nb + 2, ham.shape[0]))
+    np.testing.assert_allclose(apply(rows[1:1 + nb].T), ham @ rows[1:1 + nb].T,
                                rtol=0, atol=1e-12)
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscdmrg import ConvergenceError
-from oscdmrg.lanczos import _DENSE_CUTOFF, dense_sym_eig, lowest_k
+from oscdmrg.lanczos import dense_sym_eig, lowest_k
 
 
 def _random_symmetric(dim, seed):
@@ -46,9 +46,12 @@ def test_lowest_k_diagonal():
 
 
 def test_lowest_k_full_spectrum_tiny():
+    # dim = k: the basis is the whole space at once, and a thick restart
+    # would keep no rows
     mat = np.array([[0.0, 1.0], [1.0, 0.0]])
     res = lowest_k(lambda v: mat @ v, 2, 2)
     np.testing.assert_allclose(res.values, [-1.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(lowest_k(lambda v: 3.0 * v, 1, 1).values, [3.0], rtol=0, atol=1e-15)
 
 
 def test_lowest_k_matches_dense_60():
@@ -120,12 +123,16 @@ def test_lowest_k_warm_start():
 
 
 @pytest.mark.parametrize("diagonal,columns",
-                         [(True, [0, 0]), (False, [0, 0]), (False, [1, 1, 0]), (True, [0])])
+                         [(True, [0, 0]), (False, [0, 0]), (False, [1, 1, 0]), (True, [0]),
+                          (True, [2]), (True, [9]), (True, [2, 9])])
 def test_lowest_k_start_block_without_full_rank(diagonal, columns):
     # a start block that repeats an exact eigenvector: the Krylov block
     # loses rank after one step and must continue in fresh directions. A
     # single exact eigenvector of a diagonal matrix leaves an exactly zero
-    # remainder, which the one-column split must not divide by.
+    # remainder, which the one-column split must not divide by. Exact
+    # eigenvectors of a diagonal matrix span an invariant subspace, whose
+    # Ritz pairs have zero residuals: accepting them would return e.g. the
+    # third value for the lowest.
     rng = np.random.default_rng(5)
     dim = 500
     vals = np.sort(rng.uniform(-10.0, 10.0, dim))
@@ -201,12 +208,13 @@ def test_lowest_k_restart_window_on_shifted_spectrum(k):
 def _eigenproblems(draw):
     """A symmetric matrix with known spectrum, a k and an optional start.
 
-    Dimensions fall on both sides of the dense cutoff. The lowest pair may
-    be exactly degenerate, a diagonal matrix makes exact eigenvectors span
-    an exactly invariant subspace, and a start block may repeat a column,
-    so that it has lost rank."""
-    iterative = draw(st.booleans())
-    dim = draw(st.integers(_DENSE_CUTOFF + 1, 600) if iterative else st.integers(2, _DENSE_CUTOFF))
+    Small dimensions (2..128; from 2 to 6k + 10 the basis spans the whole
+    space) and larger ones (129..600, which take thick restarts). The lowest
+    pair may be exactly degenerate, a diagonal matrix makes exact
+    eigenvectors span an exactly invariant subspace, and a start block may
+    repeat a column, so that it has lost rank."""
+    large = draw(st.booleans())
+    dim = draw(st.integers(129, 600) if large else st.integers(2, 128))
     k = draw(st.integers(1, min(4, dim)))
     seed = draw(st.integers(0, 2**32 - 1))
     degenerate = draw(st.booleans())
