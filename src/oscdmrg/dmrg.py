@@ -4,10 +4,11 @@ The superblock is L-site-R with a single free site. Blocks keep at most n
 states selected from the target-averaged reduced density matrix. In
 optimized mode the free site's basis is refined in place: groups of bare
 number states are fed alongside the current kept states, the superblock is
-re-solved, and the n dominant eigenvectors of the site's averaged density
-matrix become the new basis. In bare mode the site basis stays frozen to
-the lowest n number states, which reproduces the unoptimized algorithm for
-comparison runs.
+re-solved, and the n dominant states of the site's averaged density matrix
+become the new basis. Blocks and sites keep the leading left singular
+vectors of a factor M of rho = M M^T, each signed so that its largest entry
+is positive. In bare mode the site basis stays frozen to the lowest n number
+states, which reproduces the unoptimized algorithm for comparison runs.
 
 Block growth absorbs the free site with the block index major, i.e.
 enlarged indices are (block, site); right blocks are stored mirrored (edge
@@ -45,6 +46,7 @@ from .fock import (
     onsite_term,
     project,
 )
+# dense_sym_eig is unused here, but bench/tracing.py hooks it by this module's name.
 from .lanczos import EigResult, dense_sym_eig, lowest_k
 
 __all__ = [
@@ -127,13 +129,15 @@ class Block:
 
 @dataclass(frozen=True)
 class TruncationRecord:
-    """Spectrum of one truncation event.
+    """Spectrum of one truncation event, as ``_kept_states`` chose it.
 
     ``position`` is the 1-based site index at which the event happened;
     ``kind`` is "block" (block-basis truncation) or "site" (optimized-basis
-    refinement). A perturbed block truncation records the spectrum of the
-    perturbed density matrix, so its ``discarded_weight`` is the weight of
-    the perturbation left out, > 0 even where rho itself has rank <= n.
+    refinement). ``lambdas`` is the full spectrum of rho, descending: the
+    factor's squared singular values, padded with zeros. A perturbed block
+    truncation records the spectrum of the perturbed density matrix, so its
+    ``discarded_weight`` is the weight of the perturbation left out, > 0
+    even where rho itself has rank <= n.
     """
 
     position: int
@@ -215,24 +219,11 @@ def enlarge_block(block: Block, site: SiteBasis) -> Block:
     )
 
 
-def _dominant_states(
-    lam: np.ndarray, vecs: np.ndarray, n: int, position: int, kind: str
-) -> tuple[np.ndarray, TruncationRecord]:
-    """The n leading columns of vecs and the record of keeping them, given
-    the full density-matrix spectrum lam and its vectors, both descending."""
-    record = TruncationRecord(
-        position=position,
-        lambdas=lam,
-        kept=n,
-        discarded_weight=float(1.0 - lam[:n].sum()),
-        kind=kind,
-    )
-    return vecs[:, :n].copy(), record
-
-
-def _kept_states(factor, dim: int, n: int, position: int) -> tuple[np.ndarray, TruncationRecord]:
+def _kept_states(factor, dim: int, n: int, position: int,
+                 kind: str = "block") -> tuple[np.ndarray, TruncationRecord]:
     """The n leading left singular vectors of a density-matrix factor on ``dim`` rows
-    (rho = factor @ factor.T) and their record; the spectrum is the squared singular values.
+    (rho = factor @ factor.T) and their record of ``kind`` "block" or "site"; the
+    spectrum is the squared singular values. Blocks and sites both truncate here.
 
     Each kept vector is signed so that its largest-magnitude entry (the first, on
     a tie) is positive (Bro, Acar & Kolda, J. Chemometrics 22, 135 (2008)), so the
@@ -248,9 +239,9 @@ def _kept_states(factor, dim: int, n: int, position: int) -> tuple[np.ndarray, T
     # With fewer columns than kept states, the full U completes the kept set
     # from the null space of rho.
     u, sig, _vt = np.linalg.svd(factor, full_matrices=factor.shape[1] < n)
-    u[:, :n] *= np.sign(u[np.abs(u[:, :n]).argmax(axis=0), np.arange(n)])
+    u = u[:, :n] * np.sign(u[np.abs(u[:, :n]).argmax(axis=0), np.arange(n)])
     lam = np.concatenate([sig**2, np.zeros(dim - sig.size)])
-    return _dominant_states(lam, u, n, position, "block")
+    return u, TruncationRecord(position, lam, n, float(1.0 - lam[:n].sum()), kind)
 
 
 def truncate_block(
@@ -344,13 +335,6 @@ def _perturbed_factor(factor: np.ndarray, x: np.ndarray, alpha: float) -> np.nda
     return np.hstack([factor, math.sqrt(alpha) * xm]) / math.sqrt(1.0 + alpha * np.sum(xm**2))
 
 
-def _averaged_rdm(psi: np.ndarray, axes: tuple) -> np.ndarray:
-    """Target-averaged reduced density matrix of the superblock legs
-    ``axes`` of psi; the other legs are traced out."""
-    m = _weighted_factor(psi, axes)
-    return m @ m.T
-
-
 def _feed_columns(basis: np.ndarray, group: list[int], m: int) -> np.ndarray:
     """Bare unit vectors of ``group`` orthonormalized against the current
     basis columns (two passes); directions already spanned are skipped."""
@@ -386,8 +370,9 @@ def optimize_site_basis(
     index order, or the states the basis holds least of first when one
     group can complete the site space (n + feed_size >= m). Each group is
     orthogonalized against the current basis and appended, the superblock
-    is solved for the targeted states, and the n dominant eigenvectors of
-    the averaged site density matrix become the new basis.
+    is solved for the targeted states, and the n states ``_kept_states``
+    picks from the factor of the averaged site density matrix (sign-fixed,
+    as a block's are) become the new basis.
     Stops when the ground energy changes by less than 1e-9 over a full
     cycle, when a cycle leaves the kept subspace unchanged, or after
     ``_MAX_REFINE_CYCLES`` cycles. A solve whose augmented basis spans all m
@@ -442,10 +427,8 @@ def optimize_site_basis(
             psi_bare = np.tensordot(psi, b_aug, axes=(1, 1)).transpose(0, 3, 1, 2)
             if not n1:
                 return basis, None, eig, psi_bare
-            site_eig = dense_sym_eig(_averaged_rdm(psi, (1,)))
-            v_dom, record = _dominant_states(
-                site_eig.values[::-1], site_eig.vectors[:, ::-1], n, position, "site"
-            )
+            factor = _weighted_factor(psi, (1,))
+            v_dom, record = _kept_states(factor, b_aug.shape[1], n, position, "site")
             b_cur = b_aug @ v_dom
             if b_aug.shape[1] == m:
                 return SiteBasis(m, n, b_cur), record, eig, psi_bare
@@ -603,7 +586,8 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
         prev_best = best
         sites = list(range(n_sites)) + back
 
-    site_entropies = np.array([von_neumann(_averaged_rdm(g, (1,))) for g in ground])
+    factors = [_weighted_factor(g, (1,)) for g in ground]
+    site_entropies = np.array([von_neumann(f @ f.T) for f in factors])
     factor = _weighted_factor(central_psi, (0, 1))
     sig = np.linalg.svd(factor, compute_uv=False)
     central_block_lams = np.pad(sig**2, (0, factor.shape[0] - sig.size))

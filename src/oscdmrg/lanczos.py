@@ -1,20 +1,20 @@
 """Symmetric eigensolvers.
 
-``dense_sym_eig`` wraps the LAPACK full decomposition, used for density
-matrices. ``lowest_k`` needs only the operator's action on a block of vectors,
-for superblock and exact diagonalizations where the operator is never
-materialized. At every size it is a thick-restart block Lanczos on a basis
-stored one vector per row, from a QR'd start block (one start vector is only
-normalized); once the dimension is at most its width, the basis spans the
-whole space. A step applies the operator to the newest block (as
-``rows.T``), projects the result first on the rows it can reach (the previous
-block and itself; after a thick restart, every kept Ritz vector) and then once
-on the whole basis, adds both projections into the projected matrix, and
-splits off the next block by an SVD (a norm, in place, for one row). Full
-reorthogonalization keeps ghost eigenvalues out of the density-matrix spectra
-downstream. Every few steps the Ritz residuals are read off the projected
-matrix; once they pass, the operator is applied to the Ritz vectors, so the
-returned residuals are the true ``||H v - lambda v||``.
+``dense_sym_eig`` wraps the LAPACK full decomposition, the tests' dense
+reference; the engine decomposes no density matrix with it. ``lowest_k`` needs
+only the operator's action on a block of vectors, for superblock and exact
+diagonalizations where the operator is never materialized. At every size it is
+a thick-restart block Lanczos on a basis stored one vector per row, from a
+QR'd start block (one start vector is only normalized); once the dimension is
+at most its width, the basis spans the whole space. A step applies the
+operator to the newest block (as ``rows.T``), projects the result first on the
+rows it can reach (the previous block and itself; after a thick restart, every
+kept Ritz vector) and then once on the whole basis, adds both projections into
+the projected matrix, and splits off the next block by an SVD (a norm, in
+place, for one row). Full reorthogonalization keeps ghost eigenvalues out of
+the density-matrix spectra downstream. Every few steps the Ritz residuals are
+read off the projected matrix; once they pass, the operator is applied to the
+Ritz vectors, so the returned residuals are the true ``||H v - lambda v||``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class EigResult:
     """Lowest eigenpairs: ascending values, orthonormal columns in vectors.
 
     ``residual_norms[i] = ||H v_i - lambda_i v_i||``; ``iterations`` counts
-    matrix-vector products (0 for ``dense_sym_eig``).
+    matrix-vector products (0 for the dense reference ``dense_sym_eig``).
     """
 
     values: np.ndarray

@@ -508,26 +508,42 @@ def test_run_dmrg_deterministic():
     (ChainSpec(14, 1.0, 14), DmrgConfig(kept_states=6, feed_size=4, n_targets=2, seed=1)),
 ])
 def test_seeded_run_does_not_depend_on_svd_signs(monkeypatch, spec, cfg):
-    # every SVD that picks kept block states returns every other singular pair
-    # negated; the sign-fixed kept states, and so the whole run, must not move
+    # every SVD that picks kept states, block and site, returns every other
+    # singular pair negated; the sign-fixed kept states, and so the whole run,
+    # must not move
     from oscdmrg import dmrg
 
-    svd, kept_states = np.linalg.svd, dmrg._kept_states.__code__
+    svd, kept_states = np.linalg.svd, dmrg._kept_states
+    flips, built = [], []
 
     def flipped_svd(a, *args, **kwargs):
         out = svd(a, *args, **kwargs)
-        if sys._getframe(1).f_code is not kept_states:
+        if sys._getframe(1).f_code is not kept_states.__code__:
             return out
+        flips.append(a.shape)
         u, sig, vt = out
         flip = np.where(np.arange(max(u.shape[1], vt.shape[0])) % 2, 1.0, -1.0)
         return u * flip[:u.shape[1]], sig, vt * flip[:vt.shape[0], None]
 
+    def recording(*args, **kwargs):
+        v, rec = kept_states(*args, **kwargs)
+        built.append(rec)
+        return v, rec
+
     plain = run_dmrg(spec, cfg)
     monkeypatch.setattr(np.linalg, "svd", flipped_svd)
+    monkeypatch.setattr(dmrg, "_kept_states", recording)
     flipped = run_dmrg(spec, cfg)
     assert np.array_equal(flipped.energies, plain.energies)
     assert flipped.entanglement_SE == plain.entanglement_SE
     assert flipped.gap == plain.gap
+    # every recorded truncation, block or site, took its kept states from a
+    # flipped SVD; a site visit reports only the last of its truncations
+    assert len(flips) == len(built)
+    assert len(flipped.truncation_records) == len(plain.truncation_records)
+    assert {id(rec) for rec in flipped.truncation_records} <= {id(rec) for rec in built}
+    kinds = {rec.kind for rec in plain.truncation_records}
+    assert kinds == ({"block", "site"} if cfg.optimized else {"block"})
 
 
 def test_run_dmrg_hbar_scaling():
@@ -750,8 +766,8 @@ def test_refinement_keeps_cycling_below_full_space(monkeypatch):
     assert min(counts) > 1
 
 
-def test_averaged_rdm_matches_einsum_partial_trace():
-    from oscdmrg.dmrg import _averaged_rdm
+def test_weighted_factor_gram_matches_einsum_partial_trace():
+    from oscdmrg.dmrg import _weighted_factor
 
     rng = np.random.default_rng(11)
     psi = rng.standard_normal((3, 4, 5, 2))
@@ -763,7 +779,8 @@ def test_averaged_rdm_matches_einsum_partial_trace():
         (2, 1): np.einsum("j,asbj,atcj->bsct", w, psi, psi).reshape(20, 20),
     }
     for axes, rho_ref in expected.items():
-        rho = _averaged_rdm(psi, axes)
+        factor = _weighted_factor(psi, axes)
+        rho = factor @ factor.T
         np.testing.assert_allclose(rho, rho_ref, atol=1e-14)
         np.testing.assert_array_equal(rho, rho.T)
         assert np.trace(rho) == pytest.approx(1.0, abs=1e-14)
@@ -866,12 +883,17 @@ def _truncations(draw):
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(_truncations())
 def test_truncate_block_from_factor_matches_eigh_of_rho(problem):
-    # the left singular vectors of M are the eigenvectors of rho = M M^T
-    from oscdmrg.dmrg import _averaged_rdm, _weighted_factor
+    # the left singular vectors of M are the eigenvectors of rho = M M^T,
+    # here the einsum partial trace of the targets' equal-weight average
+    from oscdmrg.dmrg import _weighted_factor
 
     block, site, psi, axes, n = problem
     factor = _weighted_factor(psi, axes)
-    rho = _averaged_rdm(psi, axes)
+    if axes == (0, 1):
+        rho = np.einsum("asbj,ctbj->asct", psi, psi)
+    else:
+        rho = np.einsum("bsaj,btcj->asct", psi, psi)
+    rho = rho.reshape(factor.shape[0], -1) / psi.shape[3]
     np.testing.assert_allclose(factor @ factor.T, rho, rtol=0, atol=1e-14)
     new, record = truncate_block(block, site, factor, n, position=3)
     enlarged = enlarge_block(block, site)
