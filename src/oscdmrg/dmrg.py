@@ -16,10 +16,10 @@ site last), which the reflection symmetry of the uniform chain makes
 identical to left blocks during warmup.
 
 Sweep solves are warm-started by White's wavefunction transformation (PRL
-77, 3633 (1996)): the state solved at one site is rotated through the two
-block bases between it and the next site, and the result seeds that site's
-first superblock solve. Only warmup and the first full-chain solve that
-ends it start from random vectors.
+77, 3633 (1996)): a visit's last state, on its site's new basis, is rotated
+through the two block bases between it and the next site, and seeds that
+site's first superblock solve; within a visit each solve seeds the next.
+Only warmup and the first full-chain solve that ends it start cold.
 
 Since H(hbar) = hbar * H(1), the engine solves the chain at hbar = 1 and
 ``run_dmrg`` scales its reported energies by hbar once. Every tolerance below
@@ -111,9 +111,9 @@ class Block:
     """Renormalized block: effective Hamiltonian and the (a^dag + a)
     operator of the edge site adjacent to the free site.
 
-    ``rotation`` is the isometry of the latest truncation, mapping the
-    enlarged (block, site) basis onto the kept states; None when the block
-    was not truncated."""
+    ``rotation`` maps the enlarged (block, site) basis onto the block's
+    states: the kept states of the latest truncation, or the identity when
+    every state was kept; None only for a block not grown from another."""
 
     length: int
     basis_dim: int
@@ -201,7 +201,7 @@ def site_operators(site: SiteBasis) -> SiteOperators:
 def enlarge_block(block: Block, site: SiteBasis) -> Block:
     """Absorb one site into the block (block index major):
     H' = H (x) 1 + 1 (x) h_site + g * edge_x (x) x_site, edge' = 1 (x) x_site.
-    """
+    Every state is kept, so the rotation is the identity."""
     ops = site_operators(site)
     i_block = np.eye(block.basis_dim)
     i_site = np.eye(ops.dim)
@@ -210,13 +210,8 @@ def enlarge_block(block: Block, site: SiteBasis) -> Block:
         + kron(i_block, ops.h)
         + BOND_COEFFICIENT * kron(block.edge_x, ops.x)
     )
-    edge = kron(i_block, ops.x)
-    return Block(
-        length=block.length + 1,
-        basis_dim=block.basis_dim * ops.dim,
-        hamiltonian=h,
-        edge_x=edge,
-    )
+    dim = block.basis_dim * ops.dim
+    return Block(block.length + 1, dim, h, kron(i_block, ops.x), np.eye(dim))
 
 
 def _kept_states(factor, dim: int, n: int, position: int,
@@ -359,12 +354,11 @@ def optimize_site_basis(
     left: Block,
     right: Block,
     basis: SiteBasis,
-    position: int = 1,
     tol: float = EIG_TOL,
     guess: np.ndarray | None = None,
 ) -> tuple[SiteBasis, TruncationRecord | None, EigResult, np.ndarray]:
-    """Solve the superblock at one free site; in optimized mode, refine
-    its basis (the feed loop).
+    """Solve the superblock at free site ``left.length + 1``; in optimized
+    mode, refine its basis (the feed loop).
 
     Cycles groups of ``feed_size`` bare states through the site basis, in
     index order, or the states the basis holds least of first when one
@@ -382,16 +376,16 @@ def optimize_site_basis(
     (``optimized`` off) nothing is fed: one solve in the given basis, which
     is kept. Every solve runs to ``tol``. ``guess`` (dim_L, kept_dim, dim_R,
     k), a wavefunction in the given basis, warm-starts the first solve;
-    later solves start from the previous one.
+    later solves start from the previous one, carried from its basis.
 
     Returns (basis, last site record or None in bare mode, last EigResult,
-    last solution with its site leg on the m bare states).
+    last solution on the returned basis, each target normalized).
     """
     m = basis.bare_dim
     n = basis.kept_dim
     n1 = config.feed_size if config.optimized else 0
 
-    b_cur = basis.transform.copy()
+    b_cur = basis.transform
     order = np.arange(m)
     if n + n1 >= m:
         # With n + n1 < m the fixed point depends on the feed order.
@@ -399,10 +393,9 @@ def optimize_site_basis(
     groups = [order[s:s + n1] for s in range(0, m, n1)] if n1 else [[]]
 
     eig = record = None
-    prev_energy = None
-    psi_bare = None
-    if guess is not None:
-        psi_bare = np.tensordot(guess, b_cur, axes=(1, 1)).transpose(0, 3, 1, 2)
+    prev_energy = math.inf
+    # The latest state, with its site leg on the columns of b_psi.
+    psi, b_psi = guess, b_cur
     for _cycle in range(_MAX_REFINE_CYCLES):
         cycle_start = b_cur
         for group in groups:
@@ -412,34 +405,34 @@ def optimize_site_basis(
             b_aug = np.hstack([b_cur, extra])
             ops = site_operators(SiteBasis(m, b_aug.shape[1], b_aug))
             v0 = None
-            if psi_bare is not None:
-                # Transport the previous solutions into the new site basis;
-                # pure iteration warm start, deterministic.
-                guess = np.tensordot(psi_bare, b_aug, axes=(1, 0))
-                v0 = guess.transpose(0, 3, 1, 2).reshape(-1, guess.shape[2])
+            if psi is not None:
+                # A pure warm start: the last state, its site leg carried into b_aug.
+                v0 = np.einsum("asbk,st->atbk", psi, b_psi.T @ b_aug).reshape(-1, psi.shape[3])
             try:
                 eig, psi = superblock_solve(left, ops, right, config, tol, v0)
             except ConvergenceError as err:
                 raise ConvergenceError(
-                    f"superblock solve failed at site {position}: {err}",
+                    f"superblock solve failed at site {left.length + 1}: {err}",
                     residual_norms=err.residual_norms,
                 ) from err
-            psi_bare = np.tensordot(psi, b_aug, axes=(1, 1)).transpose(0, 3, 1, 2)
+            b_psi = b_aug
             if not n1:
-                return basis, None, eig, psi_bare
+                break
             factor = _weighted_factor(psi, (1,))
-            v_dom, record = _kept_states(factor, b_aug.shape[1], n, position, "site")
+            v_dom, record = _kept_states(factor, b_aug.shape[1], n, left.length + 1, "site")
             b_cur = b_aug @ v_dom
             if b_aug.shape[1] == m:
-                return SiteBasis(m, n, b_cur), record, eig, psi_bare
-        energy = eig.values[0]
-        if prev_energy is not None and abs(energy - prev_energy) < _BASIS_TOL:
+                break
+        # Bare mode solves once; nothing is left after a full-space solve.
+        if not n1 or b_psi.shape[1] == m or abs(eig.values[0] - prev_energy) < _BASIS_TOL:
             break
-        drift = n - np.linalg.norm(cycle_start.T @ b_cur) ** 2
-        if drift < _BASIS_DRIFT_TOL:
+        if n - np.linalg.norm(cycle_start.T @ b_cur) ** 2 < _BASIS_DRIFT_TOL:
             break
-        prev_energy = energy
-    return SiteBasis(m, n, b_cur), record, eig, psi_bare
+        prev_energy = eig.values[0]
+    if n1:
+        basis, psi = SiteBasis(m, n, b_cur), np.einsum("asbk,st->atbk", psi, v_dom)
+    nrm = np.linalg.norm(psi.reshape(-1, psi.shape[3]), axis=0)
+    return basis, record, eig, psi / np.where(nrm > 0, nrm, 1.0)
 
 
 def _sweep_tolerance(trace: list[float]) -> float:
@@ -519,11 +512,8 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
         else:
             psi, grown, split = psi_fin.transpose(2, 1, 0, 3), right[n_sites - p], left[p]
         dl, ds, dr, k = psi.shape
-        t = psi.reshape(dl * ds, dr * k)
-        if grown.rotation is not None:
-            t = grown.rotation.T @ t
-        w = np.eye(dr) if split.rotation is None else split.rotation
-        moved = np.tensordot(t.reshape(-1, dr, k), w.reshape(-1, n, dr), axes=(1, 2))
+        t = grown.rotation.T @ psi.reshape(dl * ds, dr * k)
+        moved = np.tensordot(t.reshape(-1, dr, k), split.rotation.reshape(-1, n, dr), axes=(1, 2))
         return moved.transpose(0, 3, 2, 1) if rightward else moved.transpose(2, 3, 0, 1)
 
     # Warmup: grow against the mirror environment (bases are still uniform).
@@ -562,19 +552,14 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
         perturbed = False
         best = math.inf
         for p, nxt in zip(sites, [*sites[1:], 0]):
-            bases[p], rec, eig, sol = optimize_site_basis(
-                config, left[p], right[n_sites - p - 1], bases[p],
-                position=p + 1, tol=tol, guess=guess,
+            bases[p], rec, eig, psi_fin = optimize_site_basis(
+                config, left[p], right[n_sites - p - 1], bases[p], tol=tol, guess=guess,
             )
             if rec is not None:
                 records.append(rec)
-            psi_fin = np.tensordot(sol, bases[p].transform, axes=(1, 0)).transpose(0, 3, 1, 2)
-            for j in range(psi_fin.shape[3]):
-                nrm = np.linalg.norm(psi_fin[..., j])
-                if nrm > 0:
-                    psi_fin[..., j] /= nrm
             best = min(best, eig.values[0])
-            ground[p] = sol[..., :1]
+            # The solved state: any site basis gives the same site spectrum.
+            ground[p] = eig.vectors[:, :1].reshape(psi_fin.shape[0], -1, psi_fin.shape[2], 1)
             if p == central:
                 energies, central_psi = eig.values, psi_fin
             guess = psi_fin if nxt == p else step(p, psi_fin, rightward=nxt > p)

@@ -73,12 +73,7 @@ class FullHamiltonian:
         self._gxx = spec.hbar_tilde * BOND_COEFFICIENT * kron(a + ad, a + ad)
 
         d1 = spec.hbar_tilde * np.diag(onsite_term(m))
-        diag_nd = np.zeros((m,) * n)
-        for i in range(n):
-            shape = [1] * n
-            shape[i] = m
-            diag_nd = diag_nd + d1.reshape(shape)
-        self._diag = diag_nd.ravel()
+        self._diag = functools.reduce(np.add.outer, [d1] * n).ravel()
 
     def matvec_block(self, vblock: np.ndarray) -> np.ndarray:
         """H @ vblock for a (dim, k) block, as a (dim, k) array.

@@ -264,6 +264,32 @@ def test_wavefunction_prediction_is_a_pure_warm_start(monkeypatch):
     assert matvecs["warm"] <= 0.7 * matvecs["cold"]
 
 
+@pytest.mark.parametrize("kept_states", [8, 6])
+def test_optimized_visits_are_warm_started_by_their_carried_state(monkeypatch, kept_states):
+    # each solve of an optimized visit starts from the state before it,
+    # carried into the new site basis (within a visit) or stepped to the next
+    # site: once converged, each start vector of the last sweep's 2N-1 solves
+    # is already the solution. A wrong site-leg map would leave the answers
+    # and cost only matvecs. m=10, feed 2: n + n1 >= m (n=8) and < m (n=6).
+    import oscdmrg.dmrg as dmrg_mod
+
+    spec = ChainSpec(10, 1.0, 10)
+    lowest_k = dmrg_mod.lowest_k
+    calls = []
+
+    def recorded(*args, v0=None, **kwargs):
+        res = lowest_k(*args, v0=v0, **kwargs)
+        calls.append((v0, res))
+        return res
+
+    monkeypatch.setattr(dmrg_mod, "lowest_k", recorded)
+    result = run_dmrg(spec, DmrgConfig(kept_states, 2, n_sweeps=30))
+    assert result.converged
+    for v0, res in calls[-(2 * spec.n_sites - 1):]:
+        overlap = abs(v0[:, 0] @ res.vectors[:, 0]) / np.linalg.norm(v0[:, 0])
+        assert overlap >= 1 - 1e-6
+
+
 def test_run_dmrg_reports_its_last_sweep(monkeypatch):
     # the reported energies are those of the last sweep's last visit to the
     # central site, bit for bit (hbar = 1), and no visit or solve follows the
@@ -278,7 +304,7 @@ def test_run_dmrg_reports_its_last_sweep(monkeypatch):
 
     def recorded_visit(*args, **kwargs):
         out = refine(*args, **kwargs)
-        visits.append((kwargs["position"], out[2].values, calls[0]))
+        visits.append((args[1].length + 1, out[2].values, calls[0]))
         return out
 
     monkeypatch.setattr(dmrg_mod, "optimize_site_basis", recorded_visit)
@@ -582,7 +608,7 @@ def test_optimize_site_basis_full_bare_space_is_rotation():
     left = enlarge_block(Block.empty(), full)
     right = enlarge_block(Block.empty(), full)
     cfg = DmrgConfig(kept_states=m, feed_size=2, n_targets=1)
-    basis, record, _eig, _sol = optimize_site_basis(cfg, left, right, full, position=2)
+    basis, record, _eig, _sol = optimize_site_basis(cfg, left, right, full)
     assert basis.kept_dim == m
     # spans the full space: the transform is orthogonal (identity up to rotation)
     np.testing.assert_allclose(
@@ -594,33 +620,36 @@ def test_optimize_site_basis_full_bare_space_is_rotation():
     ops = site_operators(full)
     res, _ = superblock_solve(left, ops, right, cfg)
     e_ed = res.values[0]
-    basis2, _rec, _eig, _sol = optimize_site_basis(cfg, left, right, full, position=2)
+    basis2, _rec, _eig, _sol = optimize_site_basis(cfg, left, right, full)
     ops2 = site_operators(basis2)
     res2, _ = superblock_solve(left, ops2, right, cfg)
     assert res2.values[0] == pytest.approx(e_ed, abs=1e-10)
 
 
-def test_optimize_site_basis_returns_the_state_on_the_bare_basis():
-    # the solution's site leg is on the m bare states: there it has the
-    # solved energy under the m-state superblock. Bare mode keeps the basis
-    # and records no site truncation.
+def test_optimize_site_basis_returns_the_state_on_the_returned_basis():
+    # the solution's site leg is on the returned basis, each target of unit
+    # norm. Bare mode keeps the basis, records no site truncation and returns
+    # the solved state itself; an optimized visit returns the last solve
+    # projected onto the new basis, so its energy can only be higher.
     from oscdmrg.dmrg import _superblock_matvec
 
-    m, n = 6, 4
+    m, n, k = 6, 4, 2
     start = bare_site_basis(m, n)
     left = enlarge_block(Block.empty(), start)
-    apply, _dims = _superblock_matvec(left, site_operators(bare_site_basis(m, m)), left)
     for optimized in (False, True):
-        cfg = DmrgConfig(kept_states=n, feed_size=2, optimized=optimized)
-        basis, record, eig, sol = optimize_site_basis(cfg, left, left, start, position=2)
-        assert sol.shape == (n, m, n, 1)
-        v = sol.reshape(-1, 1)
-        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-        assert (v.T @ apply(v)).item() == pytest.approx(eig.values[0], abs=1e-10)
+        cfg = DmrgConfig(kept_states=n, feed_size=2, n_targets=k, optimized=optimized)
+        basis, record, eig, sol = optimize_site_basis(cfg, left, left, start)
+        assert sol.shape == (n, n, n, k)
+        v = sol.reshape(-1, k)
+        np.testing.assert_allclose(np.linalg.norm(v, axis=0), 1.0, rtol=0, atol=1e-12)
+        apply, _dims = _superblock_matvec(left, site_operators(basis), left)
+        energy = (v[:, :1].T @ apply(v[:, :1])).item()
         if optimized:
             assert record.kind == "site" and basis.kept_dim == n
+            assert energy >= eig.values[0] - 1e-10
         else:
             assert record is None and basis is start
+            assert energy == pytest.approx(eig.values[0], abs=1e-10)
 
 
 def test_refinement_converges_to_unique_fixed_point(monkeypatch):
@@ -649,8 +678,7 @@ def test_refinement_converges_to_unique_fixed_point(monkeypatch):
     for label, start in (("bare", full), ("random", SiteBasis(10, 4, rand_cols))):
         basis, weights = bare_site_basis(10, 4) if label == "bare" else start, []
         for _cycle in range(10):
-            basis, rec, _eig, _sol = optimize_site_basis(cfg, left2, left2, basis,
-                                                         position=3)
+            basis, rec, _eig, _sol = optimize_site_basis(cfg, left2, left2, basis)
             weights.append(rec.discarded_weight)
         assert abs(weights[-1] - weights[-2]) <= 1e-12
         finals[label] = (basis, weights[-1])
@@ -695,7 +723,7 @@ def test_refinement_stops_at_first_full_space_solve(monkeypatch):
     rand_cols = np.linalg.qr(rng.standard_normal((m, n)))[0]
     calls = _counting_lowest_k(monkeypatch)
     basis, record, _eig, _sol = optimize_site_basis(cfg, left2, left2,
-                                                    SiteBasis(m, n, rand_cols), position=3)
+                                                    SiteBasis(m, n, rand_cols))
     assert calls[0] == 1
 
     _eig, psi_full = superblock_solve(
@@ -707,6 +735,54 @@ def test_refinement_stops_at_first_full_space_solve(monkeypatch):
     b = basis.transform
     assert np.max(np.abs(b @ b.T - top @ top.T)) <= 1e-8
     assert record.discarded_weight == pytest.approx(lam[: m - n].sum(), abs=1e-10)
+
+
+def test_refinement_carries_each_solve_into_the_next_basis(monkeypatch):
+    # n + n1 < m from a generic basis: a visit of several solves. On the m
+    # bare states, each solve after the first starts from the solve before
+    # it projected onto the new augmented basis, and the visit returns the
+    # last solve projected onto the returned basis, normalized.
+    import oscdmrg.dmrg as dmrg_mod
+    from oscdmrg.fock import SiteBasis
+    from oscdmrg.dmrg import _weighted_factor
+
+    m, n = 10, 4
+    cfg = DmrgConfig(kept_states=n, feed_size=2, n_targets=2)
+    start = bare_site_basis(m, n)
+    left1 = enlarge_block(Block.empty(), start)
+    _eig, psi = superblock_solve(left1, site_operators(start), left1, cfg)
+    left2, _ = truncate_block(left1, start, _weighted_factor(psi, (0, 1)), n)
+    dims = (left2.basis_dim, -1, left2.basis_dim, 2)
+
+    bases, solves = [], []
+    ops_of, lowest_k = dmrg_mod.site_operators, dmrg_mod.lowest_k
+
+    def recorded_ops(site):
+        bases.append(site.transform)
+        return ops_of(site)
+
+    def recorded_solve(*args, v0=None, **kwargs):
+        res = lowest_k(*args, v0=v0, **kwargs)
+        solves.append((v0, res.vectors))
+        return res
+
+    monkeypatch.setattr(dmrg_mod, "site_operators", recorded_ops)
+    monkeypatch.setattr(dmrg_mod, "lowest_k", recorded_solve)
+    rng = np.random.default_rng(4)
+    rand_cols = np.linalg.qr(rng.standard_normal((m, n)))[0]
+    basis, _rec, _eig, sol = optimize_site_basis(cfg, left2, left2, SiteBasis(m, n, rand_cols))
+    assert len(solves) >= 3 and len(bases) == len(solves)
+
+    def bare(vectors, b):
+        return np.einsum("asbk,ms->ambk", vectors.reshape(dims), b)
+
+    for (_v0, prev), b_prev, (v0, _vec), b in zip(solves, bases, solves[1:], bases[1:]):
+        projected = np.einsum("ambk,mt->atbk", bare(prev, b_prev), b @ b.T)
+        np.testing.assert_allclose(bare(v0, b), projected, rtol=0, atol=1e-12)
+    last = np.einsum("ambk,mt->atbk", bare(solves[-1][1], bases[-1]),
+                     basis.transform @ basis.transform.T)
+    last /= np.linalg.norm(last.reshape(-1, 2), axis=0)
+    np.testing.assert_allclose(bare(sol, basis.transform), last, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("fail_at,where", [
@@ -736,7 +812,7 @@ def _solves_per_visit(monkeypatch, spec, cfg):
     def counted_visit(*args, **kwargs):
         before = calls[0]
         out = refine(*args, **kwargs)
-        visits.append((kwargs["position"], calls[0] - before))
+        visits.append((args[1].length + 1, calls[0] - before))
         return out
 
     monkeypatch.setattr(dmrg_mod, "optimize_site_basis", counted_visit)
