@@ -37,25 +37,16 @@ import numpy as np
 from .chain import ChainSpec
 from .entropy import von_neumann
 from .errors import ConvergenceError
-from .fock import (
-    BOND_COEFFICIENT,
-    SiteBasis,
-    bare_site_basis,
-    kron,
-    ladder_ops,
-    onsite_term,
-    project,
-)
-# dense_sym_eig is unused here, but bench/tracing.py hooks it by this module's name.
+# project and dense_sym_eig are unused here, but bench/tracing.py hooks them by
+# this module's name.
+from .fock import BOND_COEFFICIENT, SiteBasis, bare_site_basis, kron, project
 from .lanczos import EigResult, dense_sym_eig, lowest_k
 
 __all__ = [
     "DmrgConfig",
     "Block",
     "TruncationRecord",
-    "SiteOperators",
     "DmrgResult",
-    "site_operators",
     "enlarge_block",
     "truncate_block",
     "superblock_solve",
@@ -64,7 +55,6 @@ __all__ = [
 ]
 
 _MAX_REFINE_CYCLES = 25
-_BASIS_DRIFT_TOL = 1e-12
 # Solve tolerance of warmup, and the floor of sweep solves.
 EIG_TOL = 1e-10
 # Sweep-to-sweep change of the best ground energy that ends the sweeps.
@@ -148,18 +138,6 @@ class TruncationRecord:
 
 
 @dataclass(frozen=True)
-class SiteOperators:
-    """Free-site operators projected into its current basis."""
-
-    h: np.ndarray
-    x: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.h.shape[0]
-
-
-@dataclass(frozen=True)
 class DmrgResult:
     """Outputs of a DMRG run.
 
@@ -188,30 +166,19 @@ class DmrgResult:
     sweep_perturbations: np.ndarray
 
 
-def site_operators(site: SiteBasis) -> SiteOperators:
-    """Bare on-site term and (a^dag + a) projected into the site basis."""
-    m = site.bare_dim
-    a, ad = ladder_ops(m)
-    return SiteOperators(
-        h=project(onsite_term(m), site),
-        x=project(a + ad, site),
-    )
-
-
 def enlarge_block(block: Block, site: SiteBasis) -> Block:
     """Absorb one site into the block (block index major):
     H' = H (x) 1 + 1 (x) h_site + g * edge_x (x) x_site, edge' = 1 (x) x_site.
     Every state is kept, so the rotation is the identity."""
-    ops = site_operators(site)
     i_block = np.eye(block.basis_dim)
-    i_site = np.eye(ops.dim)
+    i_site = np.eye(site.dim)
     h = (
         kron(block.hamiltonian, i_site)
-        + kron(i_block, ops.h)
-        + BOND_COEFFICIENT * kron(block.edge_x, ops.x)
+        + kron(i_block, site.h)
+        + BOND_COEFFICIENT * kron(block.edge_x, site.x)
     )
-    dim = block.basis_dim * ops.dim
-    return Block(block.length + 1, dim, h, kron(i_block, ops.x), np.eye(dim))
+    dim = block.basis_dim * site.dim
+    return Block(block.length + 1, dim, h, kron(i_block, site.x), np.eye(dim))
 
 
 def _kept_states(factor, dim: int, n: int, position: int,
@@ -246,21 +213,20 @@ def truncate_block(
     of a factor on (block, site) rows. Each term of ``enlarge_block``'s H' and
     edge' is projected through V as (block, site, n), by one GEMM for the
     block pair and one site GEMM batched over the block leg, never formed."""
-    ops = site_operators(site)
-    db, ds = block.basis_dim, ops.dim
+    db, ds = block.basis_dim, site.dim
     dim = db * ds
     v, record = _kept_states(factor, dim, n, position)
     he = (np.vstack([block.hamiltonian, block.edge_x]) @ v.reshape(db, -1)).reshape(2, db, ds, n)
     # Site rows [h, g x; x, 0] on [V; edge_x V]: the site and bond terms of H'V; edge'V.
-    site_hx = np.vstack([np.hstack([ops.h, BOND_COEFFICIENT * ops.x]),
-                         np.hstack([ops.x, np.zeros((ds, ds))])])
+    site_hx = np.vstack([np.hstack([site.h, BOND_COEFFICIENT * site.x]),
+                         np.hstack([site.x, np.zeros((ds, ds))])])
     hx = site_hx @ np.concatenate([v.reshape(db, ds, n), he[1]], axis=1)
     hx[:, :ds] += he[0]
     h, x = v.T @ hx[:, :ds].reshape(dim, n), v.T @ hx[:, ds:].reshape(dim, n)
     return Block(block.length + 1, n, 0.5 * (h + h.T), 0.5 * (x + x.T), v), record
 
 
-def _superblock_matvec(left: Block, ops: SiteOperators, right: Block):
+def _superblock_matvec(left: Block, site: SiteBasis, right: Block):
     """H @ block for the L-site-R superblock, and (dim_L, dim_site, dim_R).
 
     It works on the block's rows, one state per row, as ``FullHamiltonian``
@@ -268,10 +234,10 @@ def _superblock_matvec(left: Block, ops: SiteOperators, right: Block):
     applies its stacked (H, x) pair (an empty block is 1x1 zeros), the left
     one batched over the rows and the right one as one GEMM; one site GEMM
     applies h and g*x to both bond pieces."""
-    dl, ds, dr = left.basis_dim, ops.dim, right.basis_dim
+    dl, ds, dr = left.basis_dim, site.dim, right.basis_dim
     lhx = np.vstack([left.hamiltonian, left.edge_x])
     rhx_t = np.vstack([right.hamiltonian, right.edge_x]).T
-    shx = np.hstack([ops.h, BOND_COEFFICIENT * ops.x])
+    shx = np.hstack([site.h, BOND_COEFFICIENT * site.x])
 
     def apply(vblock: np.ndarray) -> np.ndarray:
         rows = np.ascontiguousarray(vblock.T)
@@ -291,7 +257,7 @@ def _superblock_matvec(left: Block, ops: SiteOperators, right: Block):
 
 def superblock_solve(
     left: Block,
-    site_ops: SiteOperators,
+    site: SiteBasis,
     right: Block,
     config: DmrgConfig,
     tol: float = EIG_TOL,
@@ -303,9 +269,9 @@ def superblock_solve(
     (dim_L, dim_site, dim_R, k), k the configured number of targeted
     states clamped to the superblock dimension.
     """
-    dim = left.basis_dim * site_ops.dim * right.basis_dim
+    dim = left.basis_dim * site.dim * right.basis_dim
     k = min(config.n_targets, dim)
-    apply, (dl, ds, dr) = _superblock_matvec(left, site_ops, right)
+    apply, (dl, ds, dr) = _superblock_matvec(left, site, right)
     res = lowest_k(apply, dim, k, tol=tol, seed=config.seed, v0=v0)
     psi = res.vectors.reshape(dl, ds, dr, k)
     return res, psi
@@ -368,13 +334,12 @@ def optimize_site_basis(
     picks from the factor of the averaged site density matrix (sign-fixed,
     as a block's are) become the new basis.
     Stops when the ground energy changes by less than 1e-9 over a full
-    cycle, when a cycle leaves the kept subspace unchanged, or after
-    ``_MAX_REFINE_CYCLES`` cycles. A solve whose augmented basis spans all m
-    bare states (n + feed_size >= m) ends the visit: its site is
-    untruncated, so its n dominant states are exactly the fixed point;
-    later groups would re-solve it or a strict subspace. In bare mode
+    cycle, or after ``_MAX_REFINE_CYCLES`` cycles. A solve whose augmented
+    basis spans all m bare states (n + feed_size >= m) ends the visit: its
+    site is untruncated, so its n dominant states are exactly the fixed
+    point; later groups would re-solve it or a strict subspace. In bare mode
     (``optimized`` off) nothing is fed: one solve in the given basis, which
-    is kept. Every solve runs to ``tol``. ``guess`` (dim_L, kept_dim, dim_R,
+    is kept. Every solve runs to ``tol``. ``guess`` (dim_L, basis.dim, dim_R,
     k), a wavefunction in the given basis, warm-starts the first solve;
     later solves start from the previous one, carried from its basis.
 
@@ -382,7 +347,7 @@ def optimize_site_basis(
     last solution on the returned basis, each target normalized).
     """
     m = basis.bare_dim
-    n = basis.kept_dim
+    n = basis.dim
     n1 = config.feed_size if config.optimized else 0
 
     b_cur = basis.transform
@@ -397,19 +362,19 @@ def optimize_site_basis(
     # The latest state, with its site leg on the columns of b_psi.
     psi, b_psi = guess, b_cur
     for _cycle in range(_MAX_REFINE_CYCLES):
-        cycle_start = b_cur
         for group in groups:
             extra = _feed_columns(b_cur, group, m)
             if extra.shape[1] == 0 and eig is not None:
                 continue
-            b_aug = np.hstack([b_cur, extra])
-            ops = site_operators(SiteBasis(m, b_aug.shape[1], b_aug))
+            # Only the first solve can feed nothing: it solves in the given basis.
+            site = basis if extra.shape[1] == 0 else SiteBasis(np.hstack([b_cur, extra]))
+            b_aug = site.transform
             v0 = None
             if psi is not None:
                 # A pure warm start: the last state, its site leg carried into b_aug.
                 v0 = np.einsum("asbk,st->atbk", psi, b_psi.T @ b_aug).reshape(-1, psi.shape[3])
             try:
-                eig, psi = superblock_solve(left, ops, right, config, tol, v0)
+                eig, psi = superblock_solve(left, site, right, config, tol, v0)
             except ConvergenceError as err:
                 raise ConvergenceError(
                     f"superblock solve failed at site {left.length + 1}: {err}",
@@ -426,11 +391,9 @@ def optimize_site_basis(
         # Bare mode solves once; nothing is left after a full-space solve.
         if not n1 or b_psi.shape[1] == m or abs(eig.values[0] - prev_energy) < _BASIS_TOL:
             break
-        if n - np.linalg.norm(cycle_start.T @ b_cur) ** 2 < _BASIS_DRIFT_TOL:
-            break
         prev_energy = eig.values[0]
     if n1:
-        basis, psi = SiteBasis(m, n, b_cur), np.einsum("asbk,st->atbk", psi, v_dom)
+        basis, psi = SiteBasis(b_cur), np.einsum("asbk,st->atbk", psi, v_dom)
     nrm = np.linalg.norm(psi.reshape(-1, psi.shape[3]), axis=0)
     return basis, record, eig, psi / np.where(nrm > 0, nrm, 1.0)
 
@@ -488,12 +451,12 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
         else:
             blocks, j, axes = right, n_sites - p - 1, (2, 1)
         block, site = blocks[j], bases[p]
-        if block.basis_dim * site.kept_dim <= n:
+        if block.basis_dim * site.dim <= n:
             blocks[j + 1] = enlarge_block(block, site)
             return
         factor = _weighted_factor(psi_fin, axes)
         if alpha and factor.shape[1] <= n:
-            factor = _perturbed_factor(factor, site_operators(site).x, alpha)
+            factor = _perturbed_factor(factor, site.x, alpha)
             perturbed = True
         blocks[j + 1], rec = truncate_block(block, site, factor, n, position=p + 1)
         records.append(rec)
@@ -520,9 +483,8 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
     left[1] = right[1] = enlarge_block(left[0], bases[0])
     length = 1
     while n_sites - length - 1 > length:
-        ops = site_operators(bases[length])
         try:
-            _eig, psi = superblock_solve(left[length], ops, right[length], config)
+            _eig, psi = superblock_solve(left[length], bases[length], right[length], config)
         except ConvergenceError as err:
             raise ConvergenceError(
                 f"warmup solve failed at site {length + 1}: {err}",

@@ -14,7 +14,7 @@ part of both neighboring springs) and each bond contributes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,30 +72,42 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SiteBasis:
-    """Orthonormal columns mapping a kept basis into the bare number basis."""
+    """A site: orthonormal columns mapping its kept states into the bare
+    number basis, and the on-site term ``h`` and (a^dag + a) ``x`` projected
+    into them once, at construction."""
 
-    bare_dim: int
-    kept_dim: int
     transform: np.ndarray
+    h: np.ndarray = field(init=False)
+    x: np.ndarray = field(init=False)
 
     def __post_init__(self):
         t = np.asarray(self.transform, dtype=float)
-        if t.shape != (self.bare_dim, self.kept_dim):
-            raise ValueError(
-                f"transform shape {t.shape} != ({self.bare_dim}, {self.kept_dim})"
-            )
+        if t.ndim != 2:
+            raise ValueError(f"transform must be a matrix, got shape {t.shape}")
         gram = t.T @ t
-        defect = np.max(np.abs(gram - np.eye(self.kept_dim)))
+        defect = np.max(np.abs(gram - np.eye(t.shape[1])))
         if defect > 1e-10:
             raise ValueError(f"basis columns not orthonormal (defect {defect:.2e})")
         object.__setattr__(self, "transform", t)
+        a, ad = ladder_ops(self.bare_dim)
+        object.__setattr__(self, "h", project(onsite_term(self.bare_dim), self))
+        object.__setattr__(self, "x", project(a + ad, self))
+
+    @property
+    def bare_dim(self) -> int:
+        return self.transform.shape[0]
+
+    @property
+    def dim(self) -> int:
+        """The number of kept states."""
+        return self.transform.shape[1]
 
 
 def bare_site_basis(m: int, n: int) -> SiteBasis:
     """The lowest n number states of an m-dimensional site."""
     if not 1 <= n <= m:
         raise ValueError(f"need 1 <= n <= m, got n={n}, m={m}")
-    return SiteBasis(m, n, np.eye(m)[:, :n])
+    return SiteBasis(np.eye(m)[:, :n])
 
 
 def project(op: np.ndarray, basis: SiteBasis) -> np.ndarray:

@@ -118,7 +118,7 @@ def lowest_k(
     q_rows[:len(start)] = start
     q_rows[:k] = (q_rows[:1] / math.sqrt(q_rows[0] @ q_rows[0]) if k == 1
                   else np.linalg.qr(q_rows[:k].T)[0].T)
-    wlo, lo, p = 0, 0, k
+    wlo, p = 0, k
     matvecs = steps = 0
     checked = 1 - _CHECK_EVERY
     while True:
@@ -133,7 +133,7 @@ def lowest_k(
         coef = basis @ w.T
         w -= coef.T @ basis
         coef[wlo:] += near_coef
-        t_mat[lo:p, :p] = coef.T  # its lower triangle, which is all eigh reads
+        t_mat[p - k:p, :p] = coef.T  # its lower triangle, which is all eigh reads
         # An SVD rather than a QR, because it shows when w loses rank.
         # w = beta^T @ block couples the next block to this one. The SVD of
         # a single row is its norm.
@@ -157,8 +157,8 @@ def lowest_k(
             lam = vals[:k]
             bound = tol * np.maximum(1.0, np.abs(lam))
             # ||H x - lam x|| of the Ritz pairs, read off the projection.
-            rnorm = (abs(beta * s_mat[lo, 0]) if k == 1
-                     else np.linalg.norm(beta @ s_mat[lo:p, :k], axis=0))
+            rnorm = (abs(beta * s_mat[p - k, 0]) if k == 1
+                     else np.linalg.norm(beta @ s_mat[p - k:p, :k], axis=0))
             if np.all(rnorm <= bound):
                 x_vecs = (s_mat[:, :k].T @ basis).T
                 resid = apply(x_vecs)
@@ -181,7 +181,7 @@ def lowest_k(
                     chunk = q_rows[:, cols:cols + _RESTART_COLS]
                     chunk[:keep] = s_mat[:, :keep].T @ chunk[:p]
                 t_mat[:keep, :keep] = np.diag(vals[:keep])
-                p, lo = keep, 0
+                p = keep
         # Directions this far below the largest are mostly rounding and not
         # orthogonal to the basis (an almost invariant subspace): replace
         # them with random ones.
@@ -196,6 +196,6 @@ def lowest_k(
             block[lost] = np.linalg.qr(fresh)[0].T
         q_rows[p:p + k] = block
         # The next product reaches back to row wlo: the previous block, or
-        # after a restart (lo = 0) the whole basis. A replaced, fresh
-        # direction needs no more: the basis holds H of every older row.
-        wlo, lo, p = lo, p, p + k
+        # after a thick restart the whole basis. A replaced, fresh direction
+        # needs no more: the basis holds H of every older row.
+        wlo, p = (0 if full else p - k), p + k

@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,10 +10,8 @@ from hypothesis import strategies as st
 from oscdmrg import ChainSpec, DmrgConfig, ed_lowest, ground_energy_closed, run_dmrg
 from oscdmrg.dmrg import (
     Block,
-    SiteOperators,
     enlarge_block,
     optimize_site_basis,
-    site_operators,
     superblock_solve,
     truncate_block,
 )
@@ -57,9 +56,8 @@ def test_enlarge_from_empty_is_projected_site():
     basis = bare_site_basis(6, 3)
     blk = enlarge_block(Block.empty(), basis)
     assert blk.length == 1 and blk.basis_dim == 3
-    ops = site_operators(basis)
-    np.testing.assert_allclose(blk.hamiltonian, ops.h, atol=1e-14)
-    np.testing.assert_allclose(blk.edge_x, ops.x, atol=1e-14)
+    np.testing.assert_allclose(blk.hamiltonian, basis.h, atol=1e-14)
+    np.testing.assert_allclose(blk.edge_x, basis.x, atol=1e-14)
 
 
 def test_two_enlargements_match_hand_assembled_two_site():
@@ -114,9 +112,8 @@ def test_truncation_record_invariants():
 
 def test_superblock_single_site_reproduces_onsite_spectrum():
     basis = bare_site_basis(5, 5)
-    ops = site_operators(basis)
     cfg = DmrgConfig(kept_states=5, n_targets=3)
-    res, psi = superblock_solve(Block.empty(), ops, Block.empty(), cfg)
+    res, psi = superblock_solve(Block.empty(), basis, Block.empty(), cfg)
     expected = np.diag(onsite_term(5))[:3]
     np.testing.assert_allclose(res.values, expected, atol=1e-10)
     assert psi.shape == (1, 5, 1, 3)
@@ -127,10 +124,9 @@ def test_superblock_matvec_linearity():
     state = _pure_state(4, seed=1)
     rho = 0.5 * state @ state.T + 0.5 * np.eye(4) / 4
     blk = truncate_block(Block.empty(), bare_site_basis(4, 4), np.linalg.cholesky(rho), 3)[0]
-    ops = site_operators(basis)
     from oscdmrg.dmrg import _superblock_matvec
 
-    apply, (dl, ds, dr) = _superblock_matvec(blk, ops, blk)
+    apply, (dl, ds, dr) = _superblock_matvec(blk, basis, blk)
     rng = np.random.default_rng(3)
     u = rng.standard_normal((dl * ds * dr, 1))
     v = rng.standard_normal((dl * ds * dr, 1))
@@ -145,9 +141,8 @@ def test_superblock_untruncated_matches_ed():
     full = bare_site_basis(m, m)
     left = enlarge_block(Block.empty(), full)
     right = enlarge_block(enlarge_block(Block.empty(), full), full)
-    ops = site_operators(full)
     cfg = DmrgConfig(kept_states=m, n_targets=1)
-    res, _psi = superblock_solve(left, ops, right, cfg)
+    res, _psi = superblock_solve(left, full, right, cfg)
     e_ed, _ = ed_lowest(ChainSpec(4, 1.0, m), 1)
     assert res.values[0] == pytest.approx(e_ed[0], abs=1e-9)
 
@@ -609,7 +604,7 @@ def test_optimize_site_basis_full_bare_space_is_rotation():
     right = enlarge_block(Block.empty(), full)
     cfg = DmrgConfig(kept_states=m, feed_size=2, n_targets=1)
     basis, record, _eig, _sol = optimize_site_basis(cfg, left, right, full)
-    assert basis.kept_dim == m
+    assert basis.dim == m
     # spans the full space: the transform is orthogonal (identity up to rotation)
     np.testing.assert_allclose(
         basis.transform @ basis.transform.T, np.eye(m), atol=1e-10
@@ -617,12 +612,10 @@ def test_optimize_site_basis_full_bare_space_is_rotation():
     assert record.kind == "site"
     assert record.discarded_weight == pytest.approx(0.0, abs=1e-10)
     # energy equals the unoptimized superblock ground state
-    ops = site_operators(full)
-    res, _ = superblock_solve(left, ops, right, cfg)
+    res, _ = superblock_solve(left, full, right, cfg)
     e_ed = res.values[0]
     basis2, _rec, _eig, _sol = optimize_site_basis(cfg, left, right, full)
-    ops2 = site_operators(basis2)
-    res2, _ = superblock_solve(left, ops2, right, cfg)
+    res2, _ = superblock_solve(left, basis2, right, cfg)
     assert res2.values[0] == pytest.approx(e_ed, abs=1e-10)
 
 
@@ -642,10 +635,10 @@ def test_optimize_site_basis_returns_the_state_on_the_returned_basis():
         assert sol.shape == (n, n, n, k)
         v = sol.reshape(-1, k)
         np.testing.assert_allclose(np.linalg.norm(v, axis=0), 1.0, rtol=0, atol=1e-12)
-        apply, _dims = _superblock_matvec(left, site_operators(basis), left)
+        apply, _dims = _superblock_matvec(left, basis, left)
         energy = (v[:, :1].T @ apply(v[:, :1])).item()
         if optimized:
-            assert record.kind == "site" and basis.kept_dim == n
+            assert record.kind == "site" and basis.dim == n
             assert energy >= eig.values[0] - 1e-10
         else:
             assert record is None and basis is start
@@ -667,15 +660,14 @@ def test_refinement_converges_to_unique_fixed_point(monkeypatch):
     cfg = DmrgConfig(kept_states=4, feed_size=2, n_targets=1)
     full = bare_site_basis(10, 4)
     left1 = enlarge_block(Block.empty(), full)
-    ops = site_operators(full)
-    _eig, psi = superblock_solve(left1, ops, left1, cfg)
+    _eig, psi = superblock_solve(left1, full, left1, cfg)
     factor = _weighted_factor(psi, (0, 1))
     left2, _ = truncate_block(left1, full, factor, 4)
 
     rng = np.random.default_rng(0)
     rand_cols = np.linalg.qr(rng.standard_normal((10, 4)))[0]
     finals = {}
-    for label, start in (("bare", full), ("random", SiteBasis(10, 4, rand_cols))):
+    for label, start in (("bare", full), ("random", SiteBasis(rand_cols))):
         basis, weights = bare_site_basis(10, 4) if label == "bare" else start, []
         for _cycle in range(10):
             basis, rec, _eig, _sol = optimize_site_basis(cfg, left2, left2, basis)
@@ -715,7 +707,7 @@ def test_refinement_stops_at_first_full_space_solve(monkeypatch):
     cfg = DmrgConfig(kept_states=n, feed_size=3, n_targets=1)
     start = bare_site_basis(m, n)
     left1 = enlarge_block(Block.empty(), start)
-    _eig, psi = superblock_solve(left1, site_operators(start), left1, cfg)
+    _eig, psi = superblock_solve(left1, start, left1, cfg)
     factor = _weighted_factor(psi, (0, 1))
     left2, _ = truncate_block(left1, start, factor, n)
 
@@ -723,12 +715,10 @@ def test_refinement_stops_at_first_full_space_solve(monkeypatch):
     rand_cols = np.linalg.qr(rng.standard_normal((m, n)))[0]
     calls = _counting_lowest_k(monkeypatch)
     basis, record, _eig, _sol = optimize_site_basis(cfg, left2, left2,
-                                                    SiteBasis(m, n, rand_cols))
+                                                    SiteBasis(rand_cols))
     assert calls[0] == 1
 
-    _eig, psi_full = superblock_solve(
-        left2, site_operators(bare_site_basis(m, m)), left2, cfg
-    )
+    _eig, psi_full = superblock_solve(left2, bare_site_basis(m, m), left2, cfg)
     rho_site = np.einsum("asb,atb->st", psi_full[..., 0], psi_full[..., 0])
     lam, vecs = np.linalg.eigh(rho_site)
     top = vecs[:, ::-1][:, :n]
@@ -750,27 +740,27 @@ def test_refinement_carries_each_solve_into_the_next_basis(monkeypatch):
     cfg = DmrgConfig(kept_states=n, feed_size=2, n_targets=2)
     start = bare_site_basis(m, n)
     left1 = enlarge_block(Block.empty(), start)
-    _eig, psi = superblock_solve(left1, site_operators(start), left1, cfg)
+    _eig, psi = superblock_solve(left1, start, left1, cfg)
     left2, _ = truncate_block(left1, start, _weighted_factor(psi, (0, 1)), n)
     dims = (left2.basis_dim, -1, left2.basis_dim, 2)
 
     bases, solves = [], []
-    ops_of, lowest_k = dmrg_mod.site_operators, dmrg_mod.lowest_k
+    superblock, lowest_k = dmrg_mod.superblock_solve, dmrg_mod.lowest_k
 
-    def recorded_ops(site):
+    def recorded_superblock(left, site, *args, **kwargs):
         bases.append(site.transform)
-        return ops_of(site)
+        return superblock(left, site, *args, **kwargs)
 
     def recorded_solve(*args, v0=None, **kwargs):
         res = lowest_k(*args, v0=v0, **kwargs)
         solves.append((v0, res.vectors))
         return res
 
-    monkeypatch.setattr(dmrg_mod, "site_operators", recorded_ops)
+    monkeypatch.setattr(dmrg_mod, "superblock_solve", recorded_superblock)
     monkeypatch.setattr(dmrg_mod, "lowest_k", recorded_solve)
     rng = np.random.default_rng(4)
     rand_cols = np.linalg.qr(rng.standard_normal((m, n)))[0]
-    basis, _rec, _eig, sol = optimize_site_basis(cfg, left2, left2, SiteBasis(m, n, rand_cols))
+    basis, _rec, _eig, sol = optimize_site_basis(cfg, left2, left2, SiteBasis(rand_cols))
     assert len(solves) >= 3 and len(bases) == len(solves)
 
     def bare(vectors, b):
@@ -783,6 +773,23 @@ def test_refinement_carries_each_solve_into_the_next_basis(monkeypatch):
                      basis.transform @ basis.transform.T)
     last /= np.linalg.norm(last.reshape(-1, 2), axis=0)
     np.testing.assert_allclose(bare(sol, basis.transform), last, rtol=0, atol=1e-12)
+
+
+def test_bare_run_builds_one_site_basis_per_site(monkeypatch):
+    # a site carries its projected h and x, so a bare run builds each site's
+    # basis once: no solve or block growth builds or projects another
+    from oscdmrg.fock import SiteBasis
+
+    built = [0]
+    post_init = SiteBasis.__post_init__
+
+    def counted(self):
+        built[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(SiteBasis, "__post_init__", counted)
+    run_dmrg(ChainSpec(12, 1.0, 10), DmrgConfig(kept_states=6, optimized=False))
+    assert built[0] == 12
 
 
 @pytest.mark.parametrize("fail_at,where", [
@@ -907,7 +914,8 @@ def test_superblock_matvec_equals_kron_assembly(left, right, ds, nb, seed):
     from oscdmrg.dmrg import _superblock_matvec
 
     rng = np.random.default_rng(seed)
-    ops = SiteOperators(h=_random_sym(rng, ds), x=_random_sym(rng, ds))
+    # a stand-in site: arbitrary symmetric h and x, not projected from a basis
+    ops = SimpleNamespace(h=_random_sym(rng, ds), x=_random_sym(rng, ds), dim=ds)
     apply, dims = _superblock_matvec(left, ops, right)
     assert dims == (left.basis_dim, ds, right.basis_dim)
     hl, xl, hr, xr = left.hamiltonian, left.edge_x, right.hamiltonian, right.edge_x
@@ -950,7 +958,7 @@ def _truncations(draw):
     n = draw(st.integers(1, db * ds))
     block = Block(2, db, _random_sym(rng, db), _random_sym(rng, db))
     if rotated:
-        site = SiteBasis(m, ds, np.linalg.qr(rng.standard_normal((m, ds)))[0])
+        site = SiteBasis(np.linalg.qr(rng.standard_normal((m, ds)))[0])
     else:
         site = bare_site_basis(m, ds)
     return block, site, psi, axes, n
@@ -1005,7 +1013,7 @@ def test_truncate_block_matches_enlarge_then_project(problem, alpha):
     if alpha:
         xm = enlarged.edge_x @ factor
         expected = np.hstack([factor, np.sqrt(alpha) * xm]) / np.sqrt(1 + alpha * np.sum(xm**2))
-        factor = _perturbed_factor(factor, site_operators(site).x, alpha)
+        factor = _perturbed_factor(factor, site.x, alpha)
         np.testing.assert_allclose(factor, expected, rtol=0, atol=1e-12)
     new, record = truncate_block(block, site, factor, n, position=3)
 

@@ -107,16 +107,26 @@ def test_site_basis_validation():
     bare_site_basis(6, 4)
     with pytest.raises(ValueError):
         bare_site_basis(4, 5)
-    t = np.ones((4, 2))
-    with pytest.raises(ValueError):
-        SiteBasis(4, 2, t)
-    with pytest.raises(ValueError):
-        SiteBasis(4, 2, np.eye(4)[:, :3])
+    with pytest.raises(ValueError, match="not orthonormal"):
+        SiteBasis(np.ones((4, 2)))
+
+
+def test_site_basis_carries_its_projected_operators():
+    # dims read off the transform; h and x are the bare on-site term and
+    # (a^dag + a) projected once, bit for bit
+    rng = np.random.default_rng(7)
+    m, n = 8, 5
+    a, ad = ladder_ops(m)
+    for t in (np.eye(m)[:, :n], np.linalg.qr(rng.standard_normal((m, n)))[0]):
+        b = SiteBasis(t)
+        assert (b.bare_dim, b.dim) == (m, n)
+        assert np.array_equal(b.h, project(onsite_term(m), b))
+        assert np.array_equal(b.x, project(a + ad, b))
 
 
 def test_project_identity_and_diagonal_block():
     h = np.diag([1.0, 2.0, 3.0, 4.0])
-    full = SiteBasis(4, 4, np.eye(4))
+    full = SiteBasis(np.eye(4))
     np.testing.assert_allclose(project(h, full), h, atol=1e-14)
     top = bare_site_basis(4, 2)
     np.testing.assert_allclose(project(h, top), np.diag([1.0, 2.0]), atol=1e-14)
@@ -131,7 +141,7 @@ def test_project_preserves_symmetry_and_interlacing():
         a = rng.standard_normal((m, m))
         sym = 0.5 * (a + a.T)
         q, _ = np.linalg.qr(rng.standard_normal((m, n)))
-        basis = SiteBasis(m, n, q)
+        basis = SiteBasis(q)
         proj = project(sym, basis)
         np.testing.assert_allclose(proj, proj.T, atol=1e-12)
         # variational bound: the projected minimum cannot undercut the true one

@@ -1,7 +1,7 @@
 """The benchmark's tracer (bench/tracing.py) wraps program functions by
 module and attribute name, and a missing name stops every traced run. Its
 hooks also read attributes of the program's objects (``Block.length``,
-``SiteOperators.dim``, ``TruncationRecord.kind``, ``FullHamiltonian.site_dim``).
+``SiteBasis.dim``, ``TruncationRecord.kind``, ``FullHamiltonian.site_dim``).
 The first test checks the names without running anything; the second runs a
 small DMRG and ED solve under the tracer."""
 
