@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec, first_gap, ground_energy_closed, mode_spectrum, spectrum
-from .dmrg import CONVERGING_TOL, ENERGY_TOL, DmrgConfig, run_dmrg
+from .dmrg import DmrgConfig, run_dmrg
 from .ed import ed_lowest
 from .errors import ConvergenceError, ResourceLimitError
 
@@ -164,16 +164,19 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     # Checked here, before any solve, whether a value came from a flag or a file.
     if values["basis-mode"] not in (None, "bare", "optimized"):
         raise _UsageError(f"basis-mode must be bare or optimized, got {values['basis-mode']!r}")
-    if len(values["delimiter"]) != 1:
-        raise _UsageError(f"--delimiter must be one character, got {values['delimiter']!r}")
+    if len(values["delimiter"]) != 1 or values["delimiter"] in "\r\n":
+        raise _UsageError("--delimiter must be one character other than a line break, "
+                          f"got {values['delimiter']!r}")
     out_dir = os.path.dirname(values["out"] or "") or "."
     if not os.path.isdir(out_dir):
         raise _UsageError(f"--out directory {out_dir!r} does not exist")
     if values["out"] and os.path.isdir(values["out"]):
         raise _UsageError(f"--out {values['out']!r} is a directory")
     # Copies, so that the shared list defaults are never aliased.
-    return RunConfig(command, {key: list(value) if isinstance(value, list) else value
-                               for key, value in values.items()})
+    cfg = RunConfig(command, {key: list(value) if isinstance(value, list) else value
+                              for key, value in values.items()})
+    cfg.dmrg_config()  # Its ValueError refuses a bad n, n1, ntar, sweeps or seed.
+    return cfg
 
 
 def _fmt(value) -> str:
@@ -229,8 +232,7 @@ def _cmd_ed(cfg: RunConfig) -> int:
 
 
 def _cmd_dmrg(cfg: RunConfig) -> int:
-    spec = cfg.chain_spec()
-    result = run_dmrg(spec, cfg.dmrg_config())
+    result = run_dmrg(cfg.chain_spec(), cfg.dmrg_config())
     rows = [
         {"quantity": f"energy_{i}", "value": float(e)}
         for i, e in enumerate(result.energies)
@@ -243,22 +245,7 @@ def _cmd_dmrg(cfg: RunConfig) -> int:
     _write_csv(cfg, ["quantity", "value"], rows)
     if result.converged:
         return EXIT_OK
-    trace, tol = result.sweep_energy_trace, result.sweep_tolerances[-1]
-    alpha = result.sweep_perturbations[-1]
-    energy_tol = ENERGY_TOL * spec.hbar_tilde
-    missed = (f"last sweep-to-sweep |dE| {abs(trace[-1] - trace[-2]):.3g}"
-              if trace.size >= 2 else "no sweep-to-sweep |dE| after one sweep")
-    if trace.size >= 2 and abs(trace[-1] - trace[-2]) < energy_tol:
-        refusals = []
-        if tol > CONVERGING_TOL:
-            refusals.append(f"solved to tolerance {tol:.3g}, "
-                            f"above the {CONVERGING_TOL:.3g} a converging sweep needs")
-        if alpha:
-            refusals.append(f"perturbed its density matrices by alpha {alpha:.3g}, "
-                            "which a converging sweep may not")
-        missed += " met energy_tol, but that sweep " + " and ".join(refusals)
-    print(f"oscdmrg: not converged after {trace.size} sweeps: {missed}, "
-          f"energy_tol {energy_tol:.3g}", file=sys.stderr)
+    print(f"oscdmrg: {result.stop_reason}", file=sys.stderr)
     return EXIT_NO_CONVERGENCE
 
 

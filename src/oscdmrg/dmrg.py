@@ -94,6 +94,8 @@ class DmrgConfig:
         for name in ("kept_states", "feed_size", "n_targets", "n_sweeps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -151,7 +153,8 @@ class DmrgResult:
     times the number of targets), descending. ``sweep_energy_trace`` records
     the best ground energy seen in each sweep, ``sweep_tolerances`` the solve
     tolerance that sweep ran at, and ``sweep_perturbations`` the alpha its
-    block truncations were perturbed by (0 where none was).
+    block truncations were perturbed by (0 where none was). ``stop_reason``
+    says why the last sweep could not end the run ('' when it converged).
     """
 
     energies: np.ndarray
@@ -164,6 +167,7 @@ class DmrgResult:
     central_block_lambdas: np.ndarray
     sweep_tolerances: np.ndarray
     sweep_perturbations: np.ndarray
+    stop_reason: str
 
 
 def enlarge_block(block: Block, site: SiteBasis) -> Block:
@@ -262,17 +266,23 @@ def superblock_solve(
     config: DmrgConfig,
     tol: float = EIG_TOL,
     v0: np.ndarray | None = None,
+    label: str = "superblock",
 ) -> tuple[EigResult, np.ndarray]:
     """Lowest eigenpairs of the L-site-R Hamiltonian, matrix-free, to ``tol``.
 
     Returns the EigResult and the wavefunction tensor of shape
     (dim_L, dim_site, dim_R, k), k the configured number of targeted
-    states clamped to the superblock dimension.
+    states clamped to the superblock dimension. A failed solve raises
+    ConvergenceError("{label} solve failed at site ...: ...").
     """
     dim = left.basis_dim * site.dim * right.basis_dim
     k = min(config.n_targets, dim)
     apply, (dl, ds, dr) = _superblock_matvec(left, site, right)
-    res = lowest_k(apply, dim, k, tol=tol, seed=config.seed, v0=v0)
+    try:
+        res = lowest_k(apply, dim, k, tol=tol, seed=config.seed, v0=v0)
+    except ConvergenceError as err:
+        raise ConvergenceError(f"{label} solve failed at site {left.length + 1}: {err}",
+                               residual_norms=err.residual_norms) from err
     psi = res.vectors.reshape(dl, ds, dr, k)
     return res, psi
 
@@ -373,13 +383,7 @@ def optimize_site_basis(
             if psi is not None:
                 # A pure warm start: the last state, its site leg carried into b_aug.
                 v0 = np.einsum("asbk,st->atbk", psi, b_psi.T @ b_aug).reshape(-1, psi.shape[3])
-            try:
-                eig, psi = superblock_solve(left, site, right, config, tol, v0)
-            except ConvergenceError as err:
-                raise ConvergenceError(
-                    f"superblock solve failed at site {left.length + 1}: {err}",
-                    residual_norms=err.residual_norms,
-                ) from err
+            eig, psi = superblock_solve(left, site, right, config, tol, v0)
             b_psi = b_aug
             if not n1:
                 break
@@ -404,13 +408,34 @@ def _sweep_tolerance(trace: list[float]) -> float:
     return max(min(_SWEEP_TOL_FACTOR * de, _SWEEP_TOL_CAP), EIG_TOL)
 
 
+def _stop_reason(trace: list[float], tol: float, alpha: float, hbar: float) -> str:
+    """'' if the last sweep of ``trace`` (at hbar = 1), run at ``tol`` and ``alpha``, may
+    end the run (|dE| < ENERGY_TOL, tol <= CONVERGING_TOL, alpha 0); else why not."""
+    de = abs(trace[-1] - trace[-2]) if len(trace) >= 2 else math.inf
+    refusals = []
+    if tol > CONVERGING_TOL:
+        refusals.append(f"solved to tolerance {tol:.3g}, "
+                        f"above the {CONVERGING_TOL:.3g} a converging sweep needs")
+    if alpha:
+        refusals.append(f"perturbed its density matrices by alpha {alpha:.3g}, "
+                        "which a converging sweep may not")
+    if de < ENERGY_TOL and not refusals:
+        return ""
+    missed = (f"last sweep-to-sweep |dE| {hbar * de:.3g}" if len(trace) >= 2
+              else "no sweep-to-sweep |dE| after one sweep")
+    if de < ENERGY_TOL:
+        missed += " met energy_tol, but that sweep " + " and ".join(refusals)
+    return (f"not converged after {len(trace)} sweeps: {missed}, "
+            f"energy_tol {hbar * ENERGY_TOL:.3g}")
+
+
 def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
     """Warmup, then finite-system sweeps; the last sweep reports.
 
     Warmup grows the left block one site at a time against its mirror
     image until the superblock spans the chain. Sweeps run right then left
-    until the per-sweep best ground energy changes by less than
-    ``ENERGY_TOL`` or ``n_sweeps`` is exhausted (``converged`` records
+    until a sweep may end the run (``_stop_reason``) or ``n_sweeps`` is
+    exhausted (``converged`` and ``stop_reason`` record
     which). The last sweep's final visit to each site gives its entropy, and
     that to the central site (N-1)//2 + 1 the reported energies and the
     central block's spectrum (White, PRB 48, 10345 (1993)); no solve follows
@@ -483,13 +508,8 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
     left[1] = right[1] = enlarge_block(left[0], bases[0])
     length = 1
     while n_sites - length - 1 > length:
-        try:
-            _eig, psi = superblock_solve(left[length], bases[length], right[length], config)
-        except ConvergenceError as err:
-            raise ConvergenceError(
-                f"warmup solve failed at site {length + 1}: {err}",
-                residual_norms=err.residual_norms,
-            ) from err
+        _eig, psi = superblock_solve(left[length], bases[length], right[length], config,
+                                     label="warmup")
         move(length, psi, rightward=True)
         right[length + 1] = left[length + 1]
         length += 1
@@ -503,8 +523,6 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
     sweep_alphas: list[float] = []
     ground: list[np.ndarray] = [None] * n_sites
     central = (n_sites - 1) // 2
-    prev_best = math.inf
-    converged = False
     back = list(range(n_sites - 2, -1, -1))
     sites = list(range(length, n_sites)) + back
     for sweep in range(config.n_sweeps):
@@ -527,10 +545,9 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
             guess = psi_fin if nxt == p else step(p, psi_fin, rightward=nxt > p)
         sweep_trace.append(best)
         sweep_alphas.append(alpha if perturbed else 0.0)
-        if abs(prev_best - best) < ENERGY_TOL and tol <= CONVERGING_TOL and not perturbed:
-            converged = True
+        stop_reason = _stop_reason(sweep_trace, tol, sweep_alphas[-1], spec.hbar_tilde)
+        if not stop_reason:
             break
-        prev_best = best
         sites = list(range(n_sites)) + back
 
     factors = [_weighted_factor(g, (1,)) for g in ground]
@@ -549,8 +566,9 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
         site_entropies=site_entropies,
         truncation_records=records,
         sweep_energy_trace=trace,
-        converged=converged,
+        converged=not stop_reason,
         central_block_lambdas=central_block_lams,
         sweep_tolerances=np.array(sweep_tols),
         sweep_perturbations=np.array(sweep_alphas),
+        stop_reason=stop_reason,
     )

@@ -256,6 +256,44 @@ def test_dmrg_non_convergence_names_the_tolerance_in_units_of_hbar(capsys):
     assert "energy_tol 2e-08" in err
 
 
+def test_dmrg_non_convergence_names_the_engines_converging_tolerance(capsys, monkeypatch):
+    # the exit-2 text comes from the rule the engine applied, so it names the
+    # converging tolerance the engine used, not a copy of it
+    import oscdmrg.dmrg as dmrg_mod
+
+    monkeypatch.setattr(dmrg_mod, "CONVERGING_TOL", 1e-12)
+    args = ["dmrg", "--N", "6", "--m", "8", "--n", "4", "--basis-mode", "bare"]
+    code, _out, err = run_cli(args, capsys)
+    assert code == 2
+    assert "met energy_tol, but that sweep solved to tolerance 1e-10, above the 1e-12" in err
+
+
+@pytest.mark.parametrize("args,loose", [
+    (["--N", "5", "--m", "8", "--n", "4", "--n1", "2", "--ntar", "2"], False),
+    (["--N", "6", "--m", "8", "--n", "4", "--basis-mode", "bare"], True),
+    (["--N", "5", "--m", "8", "--n", "8", "--n1", "2", "--sweeps", "3"], False),
+    (["--N", "5", "--m", "8", "--n", "4", "--n1", "2", "--ntar", "2", "--hbar", "2",
+      "--sweeps", "2"], False),
+])
+def test_dmrg_non_convergence_prints_the_runs_stop_reason(args, loose, capsys, monkeypatch):
+    import oscdmrg.dmrg as dmrg_mod
+
+    if loose:
+        monkeypatch.setattr(dmrg_mod, "_sweep_tolerance", lambda trace: 1e-6)
+    results = []
+
+    def recorded(*run_args, **kwargs):
+        results.append(oscdmrg.run_dmrg(*run_args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr("oscdmrg.cli.run_dmrg", recorded)
+    code, _out, err = run_cli(["dmrg", *args], capsys)
+    assert code == 2
+    [result] = results
+    assert not result.converged and result.stop_reason
+    assert err == f"oscdmrg: {result.stop_reason}\n"
+
+
 @pytest.mark.parametrize("command", [["analytic"], ["ed", "--N", "3", "--m", "4"],
                                      ["spectrum", "--N-list", "3", "--levels", "2"]])
 def test_infinite_hbar_exits_one(command, capsys):
@@ -372,13 +410,45 @@ def _no_solve(*_args, **_kwargs):
     raise AssertionError("a bad option must be rejected before any solve")
 
 
-@pytest.mark.parametrize("flag", [["--delimiter", "ab"], ["--delimiter="]])
+# A line break passes as one character, but csv cannot read back the file.
+@pytest.mark.parametrize("flag", [["--delimiter", "ab"], ["--delimiter="],
+                                  ["--delimiter", "\n"], ["--delimiter", "\r"]])
 def test_delimiter_must_be_one_character(flag, capsys, monkeypatch):
     monkeypatch.setattr("oscdmrg.cli.run_dmrg", _no_solve)
     code, out, err = run_cli(["scan-basis", "--N", "4", "--m", "6", *flag], capsys)
     assert code == 1
     assert out == ""
     assert err.startswith("oscdmrg: error: --delimiter must be one character")
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("key,value,named", [
+    ("n1", "0", "feed_size must be >= 1"),
+    ("sweeps", "0", "n_sweeps must be >= 1"),
+    ("seed", "-1", "seed must be >= 0"),
+])
+@pytest.mark.parametrize("command", [["scan-basis", "--N", "4", "--m", "4", "--n-list", "2"],
+                                     ["scan-size", "--N-list", "4"]])
+def test_scans_refuse_bad_run_settings_before_any_solve(command, key, value, named, source,
+                                                        tmp_path, capsys, monkeypatch):
+    # a scan used to write one error row per point and exit 0
+    monkeypatch.setattr("oscdmrg.cli.run_dmrg", _no_solve)
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {value}\n")
+    given = [f"--{key}", value] if source == "flag" else ["--config", str(path)]
+    code, out, err = run_cli([*command, *given], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("oscdmrg: error:")
+    assert named in err
+
+
+def test_ed_refuses_a_negative_seed(capsys, monkeypatch):
+    monkeypatch.setattr("oscdmrg.cli.ed_lowest", _no_solve)
+    code, out, err = run_cli(["ed", "--N", "3", "--m", "4", "--seed", "-1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "seed must be >= 0" in err
 
 
 def test_out_directory_must_exist(tmp_path, capsys, monkeypatch):

@@ -48,6 +48,9 @@ def test_config_validation():
     for name in ("kept_states", "feed_size", "n_targets", "n_sweeps"):
         with pytest.raises(ValueError, match=name):
             DmrgConfig(**{"kept_states": 4, name: 0})
+    DmrgConfig(kept_states=4, seed=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        DmrgConfig(kept_states=4, seed=-1)
     assert [f.name for f in dataclasses.fields(DmrgConfig)] == [
         "kept_states", "feed_size", "n_targets", "n_sweeps", "optimized", "seed"]
 
@@ -381,6 +384,33 @@ def test_a_loose_sweep_cannot_declare_convergence(monkeypatch):
     assert trace.size == cfg.n_sweeps
     assert abs(trace[-1] - trace[-2]) < dmrg_mod.ENERGY_TOL == 1e-8
     np.testing.assert_array_equal(loose.sweep_tolerances, np.full(cfg.n_sweeps, 1e-6))
+
+
+def test_stop_reason_is_empty_exactly_when_converged():
+    # the run's verdict and its wording come from one rule: a converged run
+    # gives no reason, and a run cut short by n_sweeps says why
+    spec = ChainSpec(6, 1.0, 8)
+    done = run_dmrg(spec, DmrgConfig(kept_states=4, optimized=False))
+    cut = run_dmrg(spec, DmrgConfig(kept_states=4, optimized=False, n_sweeps=2))
+    assert done.converged and done.stop_reason == ""
+    assert not cut.converged
+    assert cut.stop_reason.startswith("not converged after 2 sweeps: last sweep-to-sweep |dE|")
+
+
+def test_stop_reason_words_the_rule_in_units_of_hbar():
+    from oscdmrg.dmrg import _stop_reason
+
+    trace = [5.0, 5.0 + 1e-9]
+    assert _stop_reason(trace, 1e-8, 0.0, 1.0) == ""
+    assert _stop_reason(trace[:1], 1e-10, 0.0, 2.0) == (
+        "not converged after 1 sweeps: no sweep-to-sweep |dE| after one sweep, energy_tol 2e-08")
+    assert _stop_reason([5.0, 5.5], 1e-10, 0.0, 2.0) == (
+        "not converged after 2 sweeps: last sweep-to-sweep |dE| 1, energy_tol 2e-08")
+    assert _stop_reason(trace, 1e-6, 1e-6, 3.0) == (
+        "not converged after 2 sweeps: last sweep-to-sweep |dE| 3e-09 met energy_tol, but that"
+        " sweep solved to tolerance 1e-06, above the 1e-07 a converging sweep needs and"
+        " perturbed its density matrices by alpha 1e-06, which a converging sweep may not,"
+        " energy_tol 3e-08")
 
 
 def test_a_perturbed_sweep_cannot_declare_convergence(monkeypatch):
