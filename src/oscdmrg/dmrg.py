@@ -236,24 +236,27 @@ def _superblock_matvec(left: Block, site: SiteBasis, right: Block):
     It works on the block's rows, one state per row, as ``FullHamiltonian``
     does (free for the ``rows.T`` that ``lowest_k`` passes). Each side
     applies its stacked (H, x) pair (an empty block is 1x1 zeros), the left
-    one batched over the rows and the right one as one GEMM; one site GEMM
-    applies h and g*x to both bond pieces."""
+    one batched over the rows and the right one as a (2, dim_R, dim_R) stack
+    on all rows at once, so that each returns its H and x terms as
+    contiguous halves. The bond pieces are laid out beside the rows as
+    (row, dim_L, 2, dim_site * dim_R), so filling them is contiguous, and one
+    site GEMM applies h and g*x to both."""
     dl, ds, dr = left.basis_dim, site.dim, right.basis_dim
     lhx = np.vstack([left.hamiltonian, left.edge_x])
-    rhx_t = np.vstack([right.hamiltonian, right.edge_x]).T
+    rhx = np.stack([right.hamiltonian.T, right.edge_x.T])
     shx = np.hstack([site.h, BOND_COEFFICIENT * site.x])
 
     def apply(vblock: np.ndarray) -> np.ndarray:
         rows = np.ascontiguousarray(vblock.T)
         nb = rows.shape[0]
-        lft = np.matmul(lhx, rows.reshape(nb, dl, -1)).reshape(nb, 2, dl, ds, dr)
-        rgt = (rows.reshape(-1, dr) @ rhx_t).reshape(nb, dl, ds, 2, dr)
-        stacked = np.empty((nb, dl, 2 * ds, dr))
-        stacked[:, :, :ds] = rows.reshape(nb, dl, ds, dr)
-        np.add(lft[:, 1], rgt[:, :, :, 1], out=stacked[:, :, ds:])
-        out = shx @ stacked
+        lft = np.matmul(lhx, rows.reshape(nb, dl, -1)).reshape(nb, 2, dl, ds * dr)
+        rgt = np.matmul(rows.reshape(-1, dr), rhx).reshape(2, nb, dl, ds * dr)
+        stacked = np.empty((nb, dl, 2, ds * dr))
+        stacked[:, :, 0] = rows.reshape(nb, dl, -1)
+        np.add(lft[:, 1], rgt[1], out=stacked[:, :, 1])
+        out = (shx @ stacked.reshape(nb, dl, 2 * ds, dr)).reshape(nb, dl, -1)
         out += lft[:, 0]
-        out += rgt[:, :, :, 0]
+        out += rgt[0]
         return out.reshape(nb, -1).T
 
     return apply, (dl, ds, dr)
@@ -425,7 +428,8 @@ def _stop_reason(trace: list[float], tol: float, alpha: float, hbar: float) -> s
               else "no sweep-to-sweep |dE| after one sweep")
     if de < ENERGY_TOL:
         missed += " met energy_tol, but that sweep " + " and ".join(refusals)
-    return (f"not converged after {len(trace)} sweeps: {missed}, "
+    sweeps = "1 sweep" if len(trace) == 1 else f"{len(trace)} sweeps"
+    return (f"not converged after {sweeps}: {missed}, "
             f"energy_tol {hbar * ENERGY_TOL:.3g}")
 
 

@@ -4,17 +4,18 @@
 reference; the engine decomposes no density matrix with it. ``lowest_k`` needs
 only the operator's action on a block of vectors, for superblock and exact
 diagonalizations where the operator is never materialized. At every size it is
-a thick-restart block Lanczos on a basis stored one vector per row, from a
-QR'd start block (one start vector is only normalized); once the dimension is
-at most its width, the basis spans the whole space. A step applies the
-operator to the newest block (as ``rows.T``), projects the result first on the
-rows it can reach (the previous block and itself; after a thick restart, every
-kept Ritz vector) and then once on the whole basis, adds both projections into
-the projected matrix, and splits off the next block by an SVD (a norm, in
-place, for one row). Full reorthogonalization keeps ghost eigenvalues out of
-the density-matrix spectra downstream. Every few steps the Ritz residuals are
-read off the projected matrix; once they pass, the operator is applied to the
-Ritz vectors, so the returned residuals are the true ``||H v - lambda v||``.
+a thick-restart block Lanczos on a basis stored one vector per row, from a QR'd
+start block (one start vector is only normalized); once the dimension is at
+most its width, the basis spans the whole space. A step applies the operator to
+the newest block (as ``rows.T``), projects the result first on the rows it can
+reach (the previous block and itself; after a thick restart, every kept Ritz
+vector) and then once on the whole basis, adds both projections into the
+projected matrix, and splits off the next block through its Gram matrix, or by
+an SVD if that is ill conditioned (``_split``; one row is normalized in place).
+Full reorthogonalization keeps ghost eigenvalues out of the density-matrix
+spectra downstream. Every few steps the Ritz residuals are read off the
+projected matrix; once they pass, the operator is applied to the Ritz vectors,
+so the returned residuals are the true ``||H v - lambda v||``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ _CHECK_EVERY = 5
 _RESTART_COLS = 4096
 # Matrix-vector products after which an unconverged solve gives up.
 _MAX_MATVECS = 2000
+# Least Gram eigenvalue ratio of a Gram split: kappa <= 10, rows orthonormal to ~eps kappa^2.
+_GRAM_RATIO = 1e-2
 
 
 @dataclass(frozen=True)
@@ -134,15 +137,11 @@ def lowest_k(
         w -= coef.T @ basis
         coef[wlo:] += near_coef
         t_mat[p - k:p, :p] = coef.T  # its lower triangle, which is all eigh reads
-        # An SVD rather than a QR, because it shows when w loses rank.
-        # w = beta^T @ block couples the next block to this one. The SVD of
-        # a single row is its norm.
         if k == 1:
             sig = beta = math.sqrt(w[0] @ w[0])
             block = np.divide(w, sig or 1.0, out=w)
         else:
-            block, sig, vt = np.linalg.svd(w.T, full_matrices=False)
-            block, beta = block.T, sig[:, None] * vt
+            block, sig, beta = _split(w)
         del w  # so that it is not held through the next product
         if steps == 1 and k < dim and not np.any(sig):
             # An invariant start passes with zero residuals whatever the
@@ -182,20 +181,33 @@ def lowest_k(
                     chunk[:keep] = s_mat[:, :keep].T @ chunk[:p]
                 t_mat[:keep, :keep] = np.diag(vals[:keep])
                 p = keep
-        # Directions this far below the largest are mostly rounding and not
-        # orthogonal to the basis (an almost invariant subspace): replace
-        # them with random ones.
-        lost = [sig == 0.0] if k == 1 else sig <= 1e-8 * sig[0]
-        if any(lost):
-            lost = np.asarray(lost)
+        # SVD rows at most 1e-4 of the largest are not orthogonal to the basis:
+        # they, or random rows for those at most 1e-8 (mostly rounding), are
+        # projected twice on the rest, then orthonormalized, in order, signed.
+        if (sig == 0.0) if k == 1 else sig[-1] <= 1e-4 * sig[0]:
+            redo, lost = (np.atleast_1d(sig) <= c * np.max(sig) for c in (1e-4, 1e-8))
             rng = rng or np.random.default_rng(seed)
-            fresh = rng.standard_normal((dim, int(lost.sum())))
-            spanned = np.vstack([q_rows[:p], block[~lost]])
+            fresh = block[redo].T
+            fresh[:, lost[redo]] = rng.standard_normal((dim, int(lost.sum())))
+            spanned = np.vstack([q_rows[:p], block[~redo]])
             for _ in range(2):
                 fresh -= spanned.T @ (spanned @ fresh)
-            block[lost] = np.linalg.qr(fresh)[0].T
+            fresh, r_mat = np.linalg.qr(fresh)
+            block[redo] = (fresh * np.copysign(1.0, np.diag(r_mat))).T
         q_rows[p:p + k] = block
         # The next product reaches back to row wlo: the previous block, or
         # after a thick restart the whole basis. A replaced, fresh direction
         # needs no more: the basis holds H of every older row.
         wlo, p = (0 if full else p - k), p + k
+
+
+def _split(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """w = beta^T @ block, block's rows orthonormal, sig the singular values of w,
+    descending: from the eigenpairs of w w^T (SVQB: Stathopoulos & Wu, SIAM J.
+    Sci. Comput. 23, 2165 (2002)), or an SVD, which shows lost rank."""
+    theta, u = np.linalg.eigh(w @ w.T)
+    if theta[0] > _GRAM_RATIO * theta[-1]:
+        sig, ut = np.sqrt(theta[::-1]), u.T[::-1]
+        return (ut / sig[:, None]) @ w, sig, sig[:, None] * ut
+    block, sig, vt = np.linalg.svd(w.T, full_matrices=False)
+    return block.T, sig, sig[:, None] * vt

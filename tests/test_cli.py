@@ -519,3 +519,20 @@ def test_output_independent_of_blas_threads():
     assert runs[0].stdout.startswith(b"# config:")
     assert [r.returncode for r in runs[1:]] == [runs[0].returncode]
     assert runs[1].stdout == runs[0].stdout
+
+
+@pytest.mark.parametrize("args,seed", [(["--N", "4", "--m", "3"], s) for s in range(4)]
+                         + [(["--N", "5", "--m", "4", "--n1", "1"], s) for s in (0, 1, 3)])
+def test_four_targets_on_an_eight_state_superblock(args, seed, capsys):
+    # bare n=2 puts 2*2*2 states on the middle superblock, so its k=4 solve
+    # splits Krylov blocks that lose rank, with kept directions near 1e-8 of
+    # the largest; the run converges, and a level of its subspace lies above
+    # the same level of the whole chain at the same cutoff
+    code, out, err = run_cli(["dmrg", *args, "--n", "2", "--ntar", "4", "--basis-mode", "bare",
+                              "--seed", str(seed)], capsys)
+    assert code == 0, err
+    _, rows = parse_csv(out)
+    values = {r["quantity"]: r["value"] for r in rows}
+    levels = [float(values[f"energy_{i}"]) for i in range(4)]
+    exact, _states = oscdmrg.ed_lowest(oscdmrg.ChainSpec(int(args[1]), 1.0, int(args[3])), 4)
+    assert all(level >= e * (1 - 1e-8) for level, e in zip(levels, exact))

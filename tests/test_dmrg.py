@@ -403,7 +403,7 @@ def test_stop_reason_words_the_rule_in_units_of_hbar():
     trace = [5.0, 5.0 + 1e-9]
     assert _stop_reason(trace, 1e-8, 0.0, 1.0) == ""
     assert _stop_reason(trace[:1], 1e-10, 0.0, 2.0) == (
-        "not converged after 1 sweeps: no sweep-to-sweep |dE| after one sweep, energy_tol 2e-08")
+        "not converged after 1 sweep: no sweep-to-sweep |dE| after one sweep, energy_tol 2e-08")
     assert _stop_reason([5.0, 5.5], 1e-10, 0.0, 2.0) == (
         "not converged after 2 sweeps: last sweep-to-sweep |dE| 1, energy_tol 2e-08")
     assert _stop_reason(trace, 1e-6, 1e-6, 3.0) == (

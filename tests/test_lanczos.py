@@ -1,10 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscdmrg import ConvergenceError
-from oscdmrg.lanczos import dense_sym_eig, lowest_k
+from oscdmrg import ChainSpec, ConvergenceError, DmrgConfig, run_dmrg
+from oscdmrg.lanczos import _split, dense_sym_eig, lowest_k
 
 
 def _random_symmetric(dim, seed):
@@ -249,3 +251,48 @@ def test_lowest_k_agrees_with_eigh(problem):
     bound = tol * np.maximum(1.0, np.abs(res.values))
     assert np.all(np.abs(res.residual_norms - resid) <= 1e-3 * bound)
     assert np.all(resid <= bound * 1.001)
+
+
+@st.composite
+def _krylov_remainders(draw):
+    """A k x dim remainder w = U diag(s) V^T, k from 2 to 5, whose singular
+    values fall on both sides of the Gram split's guard: ratios to the
+    largest from 1 down to 1e-12, or exactly 0."""
+    k = draw(st.integers(2, 5))
+    dim = draw(st.integers(k, 60))
+    seed = draw(st.integers(0, 2**32 - 1))
+    ratio = st.one_of(st.just(0.0), st.just(1.0), st.floats(-12.0, 0.0).map(lambda e: 10.0**e))
+    ratios = draw(st.lists(ratio, min_size=k - 1, max_size=k - 1))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    rng = np.random.default_rng(seed)
+    left = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    right = np.linalg.qr(rng.standard_normal((dim, k)))[0]
+    return (left * (scale * np.array([1.0, *ratios]))) @ right.T
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_krylov_remainders())
+def test_split_of_a_krylov_remainder(w):
+    # Well-conditioned blocks go through the Gram matrix, the others through
+    # the SVD; either way the rows are orthonormal, they rebuild w, and the
+    # singular values above the lost-direction floor are the SVD's
+    block, sig, beta = _split(w)
+    ref = np.linalg.svd(w, compute_uv=False)
+    np.testing.assert_allclose(block @ block.T, np.eye(w.shape[0]), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(beta.T @ block, w, rtol=0, atol=1e-12 * ref[0])
+    kept = ref > 1e-8 * ref[0]
+    np.testing.assert_allclose(sig[kept], ref[kept], rtol=1e-12, atol=1e-12 * ref[0])
+
+
+def test_size_scan_shape_splits_through_the_gram_matrix(monkeypatch):
+    # Every Krylov block of the two-target size scan is well conditioned, so
+    # no Lanczos step of it falls back to an SVD
+    svd, calls = np.linalg.svd, []
+
+    def counting(*args, **kwargs):
+        calls.append(sys._getframe(1).f_globals["__name__"])
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    run_dmrg(ChainSpec(10, 1.0, 14), DmrgConfig(10, 4, n_targets=2, seed=1))
+    assert calls and "oscdmrg.lanczos" not in calls
