@@ -37,17 +37,13 @@ EXIT_CONFIG = 3
 _RDM_RANKS = 20
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _ConfigError(Exception):
     pass
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); the contract wants 1
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -162,16 +158,19 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         if getattr(args, key) is not None:
             values[key] = getattr(args, key)
     # Checked here, before any solve, whether a value came from a flag or a file.
+    for key in ("n-list", "N-list"):
+        if not values[key]:
+            raise ValueError(f"--{key} names no values")
     if values["basis-mode"] not in (None, "bare", "optimized"):
-        raise _UsageError(f"basis-mode must be bare or optimized, got {values['basis-mode']!r}")
+        raise ValueError(f"basis-mode must be bare or optimized, got {values['basis-mode']!r}")
     if len(values["delimiter"]) != 1 or values["delimiter"] in "\r\n":
-        raise _UsageError("--delimiter must be one character other than a line break, "
-                          f"got {values['delimiter']!r}")
+        raise ValueError("--delimiter must be one character other than a line break, "
+                         f"got {values['delimiter']!r}")
     out_dir = os.path.dirname(values["out"] or "") or "."
     if not os.path.isdir(out_dir):
-        raise _UsageError(f"--out directory {out_dir!r} does not exist")
+        raise ValueError(f"--out directory {out_dir!r} does not exist")
     if values["out"] and os.path.isdir(values["out"]):
-        raise _UsageError(f"--out {values['out']!r} is a directory")
+        raise ValueError(f"--out {values['out']!r} is a directory")
     # Copies, so that the shared list defaults are never aliased.
     cfg = RunConfig(command, {key: list(value) if isinstance(value, list) else value
                               for key, value in values.items()})
@@ -281,7 +280,7 @@ def _cmd_scan_basis(cfg: RunConfig) -> int:
 
 def _cmd_scan_size(cfg: RunConfig) -> int:
     if cfg["ntar"] < 2:
-        raise _UsageError("scan-size needs --ntar >= 2 to resolve the gap")
+        raise ValueError("scan-size needs --ntar >= 2 to resolve the gap")
     rows = []
     for n_sites in sorted(cfg["N-list"]):
         spec = cfg.chain_spec(n_sites)
@@ -339,9 +338,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         cfg = _resolve(args)
         return _COMMANDS[cfg.command][0](cfg)
-    except _UsageError as err:
-        print(f"oscdmrg: error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except _ConfigError as err:
         print(f"oscdmrg: config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -10,10 +10,12 @@ vectors of a factor M of rho = M M^T, each signed so that its largest entry
 is positive. In bare mode the site basis stays frozen to the lowest n number
 states, which reproduces the unoptimized algorithm for comparison runs.
 
-Block growth absorbs the free site with the block index major, i.e.
-enlarged indices are (block, site); right blocks are stored mirrored (edge
-site last), which the reflection symmetry of the uniform chain makes
-identical to left blocks during warmup.
+Every block grows through one function, which absorbs the free site with
+the block index major, i.e. enlarged indices are (block, site). Right blocks
+are stored mirrored (edge site last), which the reflection symmetry of the
+uniform chain makes identical to left blocks during warmup, so a leftward
+step is the rightward one on the mirrored state. White's step reads each
+leg's size off its block or site.
 
 Sweep solves are warm-started by White's wavefunction transformation (PRL
 77, 3633 (1996)): a visit's last state, on its site's new basis, is rotated
@@ -469,44 +471,38 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
     guess = None
     alpha, perturbed = 0.0, False
 
-    def move(p: int, psi_fin: np.ndarray, rightward: bool) -> None:
-        """Absorb site p into the block on its left (rightward) or right,
-        truncating to n states of the averaged density matrix, from its
-        factor; perturbed by ``alpha`` where the factor has at most n
-        columns."""
+    def grow(blocks: dict, j: int, p: int, psi: np.ndarray) -> None:
+        """Absorb site p into blocks[j], the block on psi's first leg, as
+        blocks[j + 1]: every state kept, or n states of the averaged density
+        matrix, from its factor; perturbed by ``alpha`` where the factor has
+        at most n columns."""
         nonlocal perturbed
-        if rightward:
-            blocks, j, axes = left, p, (0, 1)
-        else:
-            blocks, j, axes = right, n_sites - p - 1, (2, 1)
         block, site = blocks[j], bases[p]
         if block.basis_dim * site.dim <= n:
             blocks[j + 1] = enlarge_block(block, site)
             return
-        factor = _weighted_factor(psi_fin, axes)
+        factor = _weighted_factor(psi, (0, 1))
         if alpha and factor.shape[1] <= n:
             factor = _perturbed_factor(factor, site.x, alpha)
             perturbed = True
         blocks[j + 1], rec = truncate_block(block, site, factor, n, position=p + 1)
         records.append(rec)
 
-    def step(p: int, psi_fin: np.ndarray, rightward: bool) -> np.ndarray:
-        """move(p, psi_fin, rightward), then psi_fin rotated into the
-        superblock at site p+1 (rightward) or p-1: White's wavefunction
-        transformation. The block that absorbed site p maps its (block,
-        site) legs through its new rotation; the block across the next
-        site is expanded through its stored rotation into (rest, site).
-        Right blocks are stored mirrored, so the leftward step is the
-        rightward one on the mirrored tensor."""
-        move(p, psi_fin, rightward)
-        if rightward:
-            psi, grown, split = psi_fin, left[p + 1], right[n_sites - p - 1]
-        else:
-            psi, grown, split = psi_fin.transpose(2, 1, 0, 3), right[n_sites - p], left[p]
+    def step(p: int, psi: np.ndarray, rightward: bool) -> np.ndarray:
+        """Grow the block that absorbs site p, and return psi rotated into the
+        superblock at site p+1 (rightward) or p-1 by White's transformation: the
+        grown block's new rotation maps in its (block, site) legs, and the block
+        across the next site expands into (rest, site) through its stored one. A
+        leftward step is the rightward one on the mirrored state, mirrored back."""
+        grown, split, j = (left, right, p) if rightward else (right, left, n_sites - p - 1)
+        psi = psi if rightward else psi.transpose(2, 1, 0, 3)
+        grow(grown, j, p, psi)
         dl, ds, dr, k = psi.shape
-        t = grown.rotation.T @ psi.reshape(dl * ds, dr * k)
-        moved = np.tensordot(t.reshape(-1, dr, k), split.rotation.reshape(-1, n, dr), axes=(1, 2))
-        return moved.transpose(0, 3, 2, 1) if rightward else moved.transpose(2, 3, 0, 1)
+        t = grown[j + 1].rotation.T @ psi.reshape(dl * ds, dr * k)
+        site_dim = bases[p + 1 if rightward else p - 1].dim
+        rot = split[n_sites - j - 1].rotation.reshape(-1, site_dim, dr)
+        moved = np.tensordot(t.reshape(-1, dr, k), rot, axes=(1, 2)).transpose(0, 3, 2, 1)
+        return moved if rightward else moved.transpose(2, 1, 0, 3)
 
     # Warmup: grow against the mirror environment (bases are still uniform).
     left[1] = right[1] = enlarge_block(left[0], bases[0])
@@ -514,7 +510,7 @@ def run_dmrg(spec: ChainSpec, config: DmrgConfig) -> DmrgResult:
     while n_sites - length - 1 > length:
         _eig, psi = superblock_solve(left[length], bases[length], right[length], config,
                                      label="warmup")
-        move(length, psi, rightward=True)
+        grow(left, length, length, psi)
         right[length + 1] = left[length + 1]
         length += 1
 

@@ -488,6 +488,24 @@ def test_basis_mode_must_be_bare_or_optimized(source, tmp_path, capsys, monkeypa
     assert "'foo'" in err
 
 
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("command,key,value", [("scan-basis", "n-list", ","),
+                                               ("scan-size", "N-list", ""),
+                                               ("spectrum", "N-list", ",")])
+def test_empty_scan_list_is_refused_before_any_solve(command, key, value, source, tmp_path,
+                                                      capsys, monkeypatch):
+    # else the command prints only its config line and header, and exits 0
+    monkeypatch.setattr("oscdmrg.cli.run_dmrg", _no_solve)
+    monkeypatch.setattr("oscdmrg.cli.spectrum", _no_solve)
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {value}\n")
+    given = [f"--{key}", value] if source == "flag" else ["--config", str(path)]
+    code, out, err = run_cli([command, *given], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"oscdmrg: error: --{key} names no values")
+
+
 def test_ed_rejects_zero_levels(capsys):
     code, out, err = run_cli(["ed", "--N", "2", "--m", "6", "--levels", "0"], capsys)
     assert code == 1

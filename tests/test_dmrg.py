@@ -626,6 +626,19 @@ def test_run_dmrg_energy_is_variational(n_sites, m, data, n1, n_targets, optimiz
     assert result.energies[0] >= ground_energy_closed(spec) * (1 - 1e-12)
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(n_sites=st.integers(4, 6), m=st.integers(3, 5), n=st.integers(2, 3),
+       n_targets=st.integers(3, 4), optimized=st.booleans(), seed=st.integers(0, 3))
+def test_run_dmrg_many_targets_stay_above_ed(n_sites, m, n, n_targets, optimized, seed):
+    # three or four targets on superblocks of a few dozen states: every solve
+    # converges (no ConvergenceError) and each level lies at or above ED's
+    spec = ChainSpec(n_sites, 1.0, m)
+    result = run_dmrg(spec, DmrgConfig(kept_states=n, feed_size=1, n_targets=n_targets,
+                                       optimized=optimized, seed=seed))
+    exact, _ = ed_lowest(spec, result.energies.size)
+    assert np.all(result.energies >= exact - 1e-9)
+
+
 def test_optimize_site_basis_full_bare_space_is_rotation():
     # n = m: nothing to feed; the returned basis spans the full bare space
     m = 4

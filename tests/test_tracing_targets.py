@@ -46,6 +46,8 @@ def test_tracer_hooks_run_on_a_small_dmrg_and_ed_solve():
     assert metrics["lanczos.matvec_cols"] == (metrics["dmrg.matvec_cols"]
                                               + metrics["ed.matvec_cols"])
     assert metrics["dmrg.matvec_cols"] > 0 and metrics["ed.matvec_cols"] > 0
+    # block growth reaches both functions through the names the tracer wraps
+    assert metrics["dmrg.enlarge_calls"] > 0 and metrics["dmrg.truncate_calls"] > 0
     assert all(getattr(importlib.import_module(module), attr) is orig
                for module, attr, orig in originals)
     json.dumps(tracer.dump())
